@@ -6,6 +6,10 @@ produce byte-identical output.  Commands that take a triple also run in
 batch mode: one JSON object per stdin line, one result line each, input
 order preserved, with per-record error objects instead of aborts.
 
+Every subcommand is one entry of `COMMANDS`; `build_parser` and `_run`
+serve them all.  The flags of a single-shot run become the record a batch
+line would give, so one field parser (`_read`) checks both.
+
 Exit codes: 0 on success, 2 on a validation or usage error.
 """
 
@@ -15,34 +19,20 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
-from .cohomology import (
-    BundleTriple,
-    CohomReport,
-    KahnViolation,
-    cohom_dims,
-)
+from .cohomology import BundleTriple, CohomReport, KahnViolation, cohom_dims
 from .cusp import (
-    CMModuleLabel,
-    FamilyDescriptor,
-    classify_label,
-    enumerate_rank,
-    family_counts,
-    free_label,
+    CMModuleLabel, classify_label, enumerate_rank, family_counts, free_label,
     validate_cusp,
 )
 from .oracle import verify_formula, verify_grid
 from .quiver import cusp_quiver, export_dot, quiver_to_dict, tpq_quiver
 from .sequences import SSeq, canonical_form, is_aperiodic
 from .tpq import (
-    TpqKind,
-    TpqModuleLabel,
-    apply_sigma,
-    descend,
-    geometry_of,
-    is_sigma_symmetric,
+    TpqKind, TpqModuleLabel, apply_sigma, descend, geometry_of, is_sigma_symmetric,
 )
 
 _SEQ_RE = re.compile(r"-?\d+(,-?\d+)*")
@@ -76,186 +66,102 @@ def parse_lambda(text: str) -> Fraction:
     return value
 
 
-def _emit(obj: dict) -> None:
-    print(json.dumps(obj, separators=(",", ":")))
+def _lambdas(text: str) -> tuple[Fraction, ...]:
+    return tuple(parse_lambda(tok) for tok in text.split(","))
 
 
-def _error_payload(exc: Exception) -> dict:
-    kind = "kahn_violation" if isinstance(exc, KahnViolation) else "invalid_input"
-    return {"error": {"kind": kind, "message": str(exc)}}
+_TRIPLE = ("seq", "m", "lambda")
 
 
-def _print_table(rows: Iterable[tuple[str, str]]) -> None:
-    rows = list(rows)
-    width = max((len(k) for k, _ in rows), default=0)
-    for key, value in rows:
-        print(f"{key.ljust(width)}  {value}")
+def _flag_record(args: argparse.Namespace, fields: Sequence[str]) -> dict:
+    """The record a batch line would give for the flags of a single-shot run.
+
+    Every flag is checked for presence before any literal is parsed.
+    """
+    record = {name: getattr(args, name) for name in fields}
+    if not record.get("free"):
+        for name, value in record.items():
+            if value is None:
+                raise ValueError(f"--{name} is required")
+        if "seq" in record:
+            record["seq"] = list(parse_seq(record["seq"]))
+    return record
 
 
-def _report_dict(report: CohomReport) -> dict:
-    return {
-        "theta": report.theta,
-        "delta": report.delta,
-        "h0": report.h0,
-        "h1": report.h1,
-    }
-
-
-def _label_dict(label: CMModuleLabel) -> dict:
-    if label.is_free:
-        return {"kind": "free", "rank": label.rank}
-    t = label.triple
-    return {
-        "kind": "module",
-        "seq": list(t.seq.entries),
-        "m": t.m,
-        "lam": str(t.lam),
-        "rank": label.rank,
-    }
-
-
-def _family_dict(family: FamilyDescriptor) -> dict:
-    return {
-        "seq": list(family.seq.entries),
-        "m": family.m,
-        "base": family.base.value,
-        "rank": family.rank,
-    }
-
-
-def _tpq_label_dict(label: TpqModuleLabel) -> dict:
-    if label.kind is TpqKind.FREE:
-        return {"kind": "free"}
-    if label.kind is TpqKind.SINGLE:
-        return {
-            "kind": "single",
-            "seq": list(label.seq.entries),
-            "m": label.m,
-            "lam": str(label.lam),
-        }
-    return {
-        "kind": "split",
-        "seq": list(label.seq.entries),
-        "m": label.m,
-        "sign": label.sign,
-        "branch": label.branch,
-    }
-
-
-def _record_seq(record: dict, s: int) -> SSeq:
-    if "seq" not in record:
-        raise ValueError("missing field 'seq'")
-    value = record["seq"]
-    if not isinstance(value, list) or not value or any(
-        isinstance(v, bool) or not isinstance(v, int) for v in value
-    ):
-        raise ValueError("field 'seq' must be a nonempty list of integers")
-    return SSeq(s, tuple(value))
-
-
-def _record_m(record: dict) -> int:
-    if "m" not in record:
-        raise ValueError("missing field 'm'")
-    value = record["m"]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError("field 'm' must be an integer")
-    return value
-
-
-def _record_lambda(record: dict) -> Fraction:
-    if "lambda" not in record:
-        raise ValueError("missing field 'lambda'")
-    value = record["lambda"]
-    if isinstance(value, bool):
-        raise ValueError("field 'lambda' must be an integer or 'a/b' string")
-    if isinstance(value, int):
+def _field(name: str, value: Any, s: int) -> Any:
+    if name == "seq":
+        if not isinstance(value, list) or not value or any(
+            isinstance(v, bool) or not isinstance(v, int) for v in value
+        ):
+            raise ValueError("field 'seq' must be a nonempty list of integers")
+        return SSeq(s, tuple(value))
+    if name == "m":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError("field 'm' must be an integer")
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
         value = str(value)
     if not isinstance(value, str):
         raise ValueError("field 'lambda' must be an integer or 'a/b' string")
     return parse_lambda(value)
 
 
-def _batch(stream, handler: Callable[[dict], dict]) -> int:
-    for line in stream:
-        line = line.strip()
-        if not line:
+def _read(record: dict, fields: Sequence[str], s: int) -> Any:
+    """The one field parser, for batch records and flag records alike.
+
+    Fields are checked in order.  Gives a BundleTriple when the fields
+    include m, an SSeq for the sequence alone, a (SSeq, lambda) tube base
+    for (seq, lambda), and None for a truthy "free" where that is a field.
+    """
+    if "free" in fields and record.get("free"):
+        return None
+    values = []
+    for name in fields:
+        if name == "free":
             continue
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("batch record must be a JSON object")
-            _emit(handler(record))
-        except (ValueError, KeyError) as exc:
-            _emit(_error_payload(exc))
-    return 0
+        if name not in record:
+            raise ValueError(f"missing field {name!r}")
+        values.append(_field(name, record[name], s))
+    if "m" in fields:
+        return BundleTriple(*values)
+    return values[0] if len(values) == 1 else tuple(values)
 
 
-def _require(args: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} is required")
+def _report_dict(report: CohomReport) -> dict:
+    return dict(vars(report))  # theta, delta, h0, h1
 
 
-# ---------------------------------------------------------------- commands
+def _label_dict(label: CMModuleLabel) -> dict:
+    if label.is_free:
+        return {"kind": "free", "rank": label.rank}
+    t = label.triple
+    return {"kind": "module", "seq": list(t.seq.entries), "m": t.m, "lam": str(t.lam),
+            "rank": label.rank}
 
 
-def cmd_canon(args: argparse.Namespace) -> int:
-    def run(seq: SSeq) -> dict:
-        return {
-            "canonical": list(canonical_form(seq).entries),
-            "aperiodic": is_aperiodic(seq),
-        }
-
-    if args.batch:
-        return _batch(sys.stdin, lambda rec: run(_record_seq(rec, args.s)))
-    _require(args, "seq")
-    result = run(SSeq(args.s, parse_seq(args.seq)))
-    if args.format == "table":
-        _print_table(
-            [
-                ("canonical", ",".join(str(v) for v in result["canonical"])),
-                ("aperiodic", "yes" if result["aperiodic"] else "no"),
-            ]
-        )
+def _tpq_label_dict(label: TpqModuleLabel) -> dict:
+    if label.kind is TpqKind.FREE:
+        return {"kind": "free"}
+    out = {"kind": label.kind.value, "seq": list(label.seq.entries), "m": label.m}
+    if label.kind is TpqKind.SINGLE:
+        out["lam"] = str(label.lam)
     else:
-        _emit(result)
-    return 0
+        out.update(sign=label.sign, branch=label.branch)
+    return out
 
 
-def cmd_cohom(args: argparse.Namespace) -> int:
-    def run(triple: BundleTriple) -> dict:
-        return _report_dict(cohom_dims(triple))
-
-    if args.batch:
-        return _batch(
-            sys.stdin,
-            lambda rec: run(
-                BundleTriple(
-                    _record_seq(rec, args.s), _record_m(rec), _record_lambda(rec)
-                )
-            ),
-        )
-    _require(args, "seq", "m", "lam")
-    result = run(
-        BundleTriple(SSeq(args.s, parse_seq(args.seq)), args.m, parse_lambda(args.lam))
-    )
-    if args.format == "table":
-        _print_table([(k, str(v)) for k, v in result.items()])
-    else:
-        _emit(result)
-    return 0
+def _verify(args: argparse.Namespace, _geom: None, triple: BundleTriple | None):
+    if triple is None:
+        return _verify_grid(args.grid)
+    r = verify_formula(triple)
+    return {"agree": r.agree, "formula": _report_dict(r.formula),
+            "oracle": _report_dict(r.oracle)}
 
 
-def _parse_grid_spec(tokens: Sequence[str]) -> dict:
-    spec = {
-        "rs_max": 4,
-        "lo": -2,
-        "hi": 2,
-        "m_max": 2,
-        "lambdas": (Fraction(1), Fraction(-1), Fraction(2)),
-        "s_values": None,
-    }
+def _verify_grid(tokens: Sequence[str]) -> dict:
+    # verify_grid skips every s above rs_max.
+    spec: dict = {"s_values": (1, 2, 3), "rs_max": 4, "lo": -2, "hi": 2,
+                  "m_values": (1, 2), "lambdas": (1, -1, 2)}
     for token in tokens:
         key, sep, value = token.partition("=")
         if not sep:
@@ -265,285 +171,288 @@ def _parse_grid_spec(tokens: Sequence[str]) -> dict:
         elif key == "entries":
             match = _RANGE_RE.fullmatch(value)
             if not match:
-                raise ValueError(
-                    f"malformed entries range {value!r}: expected lo..hi"
-                )
+                raise ValueError(f"malformed entries range {value!r}: expected lo..hi")
             spec["lo"], spec["hi"] = int(match.group(1)), int(match.group(2))
         elif key == "m_max":
-            spec["m_max"] = int(value)
+            spec["m_values"] = tuple(range(1, int(value) + 1))
         elif key == "lambdas":
-            spec["lambdas"] = tuple(parse_lambda(tok) for tok in value.split(","))
+            spec["lambdas"] = _lambdas(value)
         elif key == "s":
             spec["s_values"] = tuple(int(tok) for tok in value.split(","))
         else:
             raise ValueError(f"unknown grid setting {key!r}")
-    if spec["s_values"] is None:
-        spec["s_values"] = tuple(
-            s for s in (1, 2, 3) if s <= spec["rs_max"]
-        )
-    return spec
+    report = verify_grid(**spec)
+    kinds = ("formula_mismatches", "euler_failures", "rank_identity_failures")
+    result = {"cases": report.cases}
+    result.update((kind, len(getattr(report, kind))) for kind in kinds)
+    result["ok"] = report.ok
+    failures = sum((getattr(report, kind) for kind in kinds), ())
+    if failures:
+        result["failures"] = list(failures[:20])
+    return result
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    if args.grid is not None:
-        spec = _parse_grid_spec(args.grid)
-        report = verify_grid(
-            s_values=spec["s_values"],
-            rs_max=spec["rs_max"],
-            lo=spec["lo"],
-            hi=spec["hi"],
-            m_values=tuple(range(1, spec["m_max"] + 1)),
-            lambdas=spec["lambdas"],
-        )
-        result = {
-            "cases": report.cases,
-            "formula_mismatches": len(report.formula_mismatches),
-            "euler_failures": len(report.euler_failures),
-            "rank_identity_failures": len(report.rank_identity_failures),
-            "ok": report.ok,
-        }
-        failures = (
-            report.formula_mismatches
-            + report.euler_failures
-            + report.rank_identity_failures
-        )
-        if failures:
-            result["failures"] = list(failures[:20])
-        if args.format == "table":
-            _print_table([(k, str(v)) for k, v in result.items() if k != "failures"])
-        else:
-            _emit(result)
-        return 0 if report.ok else 2
-    _require(args, "seq", "m", "lam")
-    triple = BundleTriple(
-        SSeq(args.s, parse_seq(args.seq)), args.m, parse_lambda(args.lam)
-    )
-    report = verify_formula(triple)
-    result = {
-        "agree": report.agree,
-        "formula": _report_dict(report.formula),
-        "oracle": _report_dict(report.oracle),
-    }
-    if args.format == "table":
-        _print_table(
-            [
-                ("agree", "yes" if report.agree else "no"),
-                ("formula", str(_report_dict(report.formula))),
-                ("oracle", str(_report_dict(report.oracle))),
-            ]
-        )
-    else:
-        _emit(result)
-    return 0 if report.agree else 2
-
-
-def cmd_classify(args: argparse.Namespace) -> int:
-    geom = validate_cusp(args.s, parse_seq(args.b))
-
-    def run(triple: BundleTriple) -> dict:
-        return _label_dict(classify_label(triple, geom))
-
-    if args.batch:
-        return _batch(
-            sys.stdin,
-            lambda rec: run(
-                BundleTriple(
-                    _record_seq(rec, geom.s), _record_m(rec), _record_lambda(rec)
-                )
-            ),
-        )
-    _require(args, "seq", "m", "lam")
-    result = run(
-        BundleTriple(SSeq(geom.s, parse_seq(args.seq)), args.m, parse_lambda(args.lam))
-    )
-    if args.format == "table":
-        _print_table([(k, str(v)) for k, v in result.items()])
-    else:
-        _emit(result)
-    return 0
-
-
-def cmd_enumerate(args: argparse.Namespace) -> int:
-    geom = validate_cusp(args.s, parse_seq(args.b))
+def _enumerate(args: argparse.Namespace, geom, _input: None) -> dict:
     piece = enumerate_rank(geom, args.rank)
-    result = {
+    return {
         "rank": piece.rank,
         "free": piece.free,
-        "families": [_family_dict(f) for f in piece.families],
+        "families": [
+            {"seq": list(f.seq.entries), "m": f.m, "base": f.base.value, "rank": f.rank}
+            for f in piece.families
+        ],
         "exceptional": [_label_dict(lab) for lab in piece.exceptional],
     }
-    if args.format == "table":
-        rows = [("rank", str(piece.rank)), ("free", "yes" if piece.free else "no")]
-        for f in piece.families:
-            rows.append(
-                ("family", f"M({f.seq},{f.m},-) base={f.base.value} rank={f.rank}")
-            )
-        for lab in piece.exceptional:
-            rows.append(("exceptional", f"{lab} rank={lab.rank}"))
-        _print_table(rows)
-    else:
-        _emit(result)
-    return 0
 
 
-def cmd_growth(args: argparse.Namespace) -> int:
-    geom = validate_cusp(args.s, parse_seq(args.b))
+def _growth(args: argparse.Namespace, geom, _input: None) -> dict:
     table = family_counts(geom, args.r_max)
-    counts = [
-        {"rank": rank, "families": table.counts[rank]}
-        for rank in sorted(table.counts)
-    ]
+    counts = [{"rank": r, "families": n} for r, n in sorted(table.counts.items())]
     exceptional = [
-        {"rank": rank, "labels": [_label_dict(lab) for lab in labs]}
-        for rank, labs in sorted(table.exceptional.items())
+        {"rank": r, "labels": [_label_dict(lab) for lab in labs]}
+        for r, labs in sorted(table.exceptional.items())
         if labs
     ]
-    if args.format == "table":
-        _print_table(
-            [("rank", "families")]
-            + [(str(c["rank"]), str(c["families"])) for c in counts]
-        )
-    else:
-        _emit({"counts": counts, "exceptional": exceptional})
-    return 0
+    return {"counts": counts, "exceptional": exceptional}
 
 
-def cmd_quiver(args: argparse.Namespace) -> int:
+def _tpq_descend(_args: argparse.Namespace, geom, triple: BundleTriple | None):
+    cusp = geom.cusp
+    label = free_label(cusp) if triple is None else classify_label(triple, cusp)
+    return {"labels": [_tpq_label_dict(lab) for lab in descend(geom, label)]}
+
+
+def _tpq_quiver(args: argparse.Namespace, geom, base: tuple | None):
+    if base is not None:
+        return tpq_quiver(geom, args.depth, bases=[base])
+    return tpq_quiver(geom, args.depth, max_base_rank=args.max_base_rank,
+                      lambdas=_lambdas(args.lambdas))
+
+
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _str_rows(result: dict) -> list[tuple[str, str]]:
+    # verify --grid lists its failures in JSON output only.
+    return [(k, str(v)) for k, v in result.items() if k != "failures"]
+
+
+def _joined_rows(result: dict) -> list[tuple[str, str]]:
+    """A sequence, comma-joined, and a yes/no property."""
+    return [
+        (k, _yes(v) if isinstance(v, bool) else ",".join(str(x) for x in v))
+        for k, v in result.items()
+    ]
+
+
+def _verify_rows(result: dict) -> list[tuple[str, str]]:
+    if "agree" not in result:
+        return _str_rows(result)
+    return [("agree", _yes(result["agree"])), ("formula", str(result["formula"])),
+            ("oracle", str(result["oracle"]))]
+
+
+def _enumerate_rows(result: dict) -> list[tuple[str, str]]:
+    def module(x: dict, lam: str) -> str:
+        return f"M([{','.join(str(v) for v in x['seq'])}],{x['m']},{lam})"
+
+    return [("rank", str(result["rank"])), ("free", _yes(result["free"]))] + [
+        ("family", f"{module(f, '-')} base={f['base']} rank={f['rank']}")
+        for f in result["families"]
+    ] + [
+        ("exceptional", f"{module(x, x['lam'])} rank={x['rank']}")
+        for x in result["exceptional"]
+    ]
+
+
+def _print_table(rows: list[tuple[str, str]]) -> None:
+    width = max((len(k) for k, _ in rows), default=0)
+    for key, value in rows:
+        print(f"{key.ljust(width)}  {value}")
+
+
+# Setup steps: each gives a command's geometry and the s of its sequences.
+
+
+def _plain(args: argparse.Namespace) -> tuple[None, int]:
+    return None, args.s
+
+
+def _cusp(args: argparse.Namespace):
     geom = validate_cusp(args.s, parse_seq(args.b))
-    lambdas = tuple(parse_lambda(tok) for tok in args.lambdas.split(","))
-    quiver = cusp_quiver(geom, args.max_base_rank, args.depth, lambdas)
-    if args.format == "json":
-        _emit(quiver_to_dict(quiver))
-    else:
-        sys.stdout.write(export_dot(quiver))
-    return 0
+    return geom, geom.s
 
 
-def cmd_tpq_geometry(args: argparse.Namespace) -> int:
+def _tpq(args: argparse.Namespace):
     geom = geometry_of(args.p, args.q)
-    result = {
-        "p": geom.p,
-        "q": geom.q,
-        "s": geom.cusp.s,
-        "b": list(geom.cusp.b),
-        "t": geom.t,
-        "case": geom.case_tag.value,
-    }
-    if args.format == "table":
-        _print_table([(k, str(v)) for k, v in result.items()])
-    else:
-        _emit(result)
-    return 0
+    return geom, geom.cusp.s
 
 
-def cmd_tpq_sigma(args: argparse.Namespace) -> int:
-    geom = geometry_of(args.p, args.q)
-
-    def run(seq: SSeq) -> dict:
-        return {
-            "sigma": list(apply_sigma(geom, seq).entries),
-            "sigma_symmetric": is_sigma_symmetric(geom, seq),
-        }
-
-    if args.batch:
-        return _batch(sys.stdin, lambda rec: run(_record_seq(rec, geom.cusp.s)))
-    _require(args, "seq")
-    result = run(SSeq(geom.cusp.s, parse_seq(args.seq)))
-    if args.format == "table":
-        _print_table(
-            [
-                ("sigma", ",".join(str(v) for v in result["sigma"])),
-                ("sigma_symmetric", "yes" if result["sigma_symmetric"] else "no"),
-            ]
-        )
-    else:
-        _emit(result)
-    return 0
-
-
-def cmd_tpq_descend(args: argparse.Namespace) -> int:
-    geom = geometry_of(args.p, args.q)
-
-    def run_free() -> dict:
-        labels = descend(geom, free_label(geom.cusp))
-        return {"labels": [_tpq_label_dict(lab) for lab in labels]}
-
-    def run(triple: BundleTriple) -> dict:
-        label = classify_label(triple, geom.cusp)
-        return {"labels": [_tpq_label_dict(lab) for lab in descend(geom, label)]}
-
-    if args.batch:
-
-        def handle(rec: dict) -> dict:
-            if rec.get("free"):
-                return run_free()
-            return run(
-                BundleTriple(
-                    _record_seq(rec, geom.cusp.s),
-                    _record_m(rec),
-                    _record_lambda(rec),
-                )
-            )
-
-        return _batch(sys.stdin, handle)
-    if args.free:
-        result = run_free()
-    else:
-        _require(args, "seq", "m", "lam")
-        result = run(
-            BundleTriple(
-                SSeq(geom.cusp.s, parse_seq(args.seq)), args.m, parse_lambda(args.lam)
-            )
-        )
-    if args.format == "table":
-        _print_table([("label", str(d)) for d in result["labels"]])
-    else:
-        _emit(result)
-    return 0
-
-
-def cmd_tpq_quiver(args: argparse.Namespace) -> int:
-    geom = geometry_of(args.p, args.q)
+def _tpq_one_base(args: argparse.Namespace):
+    geom, s = _tpq(args)
     if (args.seq is None) == (args.max_base_rank is None):
         raise ValueError("give exactly one of --max-base-rank or --seq with --lambda")
-    if args.seq is not None:
-        _require(args, "lam")
-        bases = [(SSeq(geom.cusp.s, parse_seq(args.seq)), parse_lambda(args.lam))]
-        quiver = tpq_quiver(geom, args.depth, bases=bases)
+    return geom, s
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its flags and what each step of `_run` does for it."""
+
+    name: str
+    help: str
+    flags: tuple[tuple[str, dict], ...]  # (flag, add_argument keywords)
+    setup: Callable[[argparse.Namespace], tuple[Any, int]]  # (geometry, s)
+    run: Callable[[argparse.Namespace, Any, Any], Any]  # (args, geometry, input)
+    rows: Callable[[dict], list[tuple[str, str]]] | None  # None: DOT, not table
+    fields: tuple[str, ...] = ()  # the input, from the flags or a batch line
+    skip_if: str | None = None  # a flag that, when given, stands in for fields
+
+
+def _flag(name: str, help: str | None = None, **options) -> tuple[str, dict]:
+    return name, dict(options, help=help)
+
+
+_S = _flag("--s", "cycle component count", type=int, required=True)
+_B = _flag("--b", "cycle weights, comma-separated (length s)", required=True)
+_P = _flag("--p", type=int, required=True)
+_Q = _flag("--q", type=int, required=True)
+_SEQ = _flag("--seq", "degree sequence, comma-separated integers")
+_M = _flag("--m", "multiplicity (positive)", type=int)
+_LAM = _flag("--lambda", "scalar: integer or integer/integer, nonzero", metavar="LAM")
+_BATCH = _flag("--batch", "read JSON lines from stdin", action="store_true")
+_DEPTH = _flag("--depth", "levels per tube", type=int, required=True)
+_LAMBDAS = _flag(
+    "--lambdas", "scalar sample for tube bases (default 1,2)", default="1,2"
+)
+_GRID = _flag(
+    "--grid",
+    "sweep a whole box instead of one triple; settings: rs_max=N "
+    "entries=lo..hi m_max=N lambdas=a,b,... s=1,2,...",
+    nargs="*",
+    metavar="KEY=VALUE",
+)
+
+COMMANDS = (
+    Command(
+        "canon", "canonical rotation and aperiodicity", (_S, _SEQ, _BATCH), _plain,
+        lambda _a, _g, seq: {
+            "canonical": list(canonical_form(seq).entries),
+            "aperiodic": is_aperiodic(seq),
+        },
+        _joined_rows, ("seq",),
+    ),
+    Command(
+        "cohom", "closed-form h0/h1 of a bundle triple", (_S, _SEQ, _M, _LAM, _BATCH),
+        _plain, lambda _a, _g, t: _report_dict(cohom_dims(t)), _str_rows, _TRIPLE,
+    ),
+    Command(
+        "verify", "check the formulas against the oracle",
+        (_flag("--s", "cycle component count", type=int, default=1),
+         _SEQ, _M, _LAM, _GRID),
+        _plain, _verify, _verify_rows, _TRIPLE, skip_if="grid",
+    ),
+    Command(
+        "classify", "label the CM module of a triple", (_S, _B, _SEQ, _M, _LAM, _BATCH),
+        _cusp, lambda _a, g, t: _label_dict(classify_label(t, g)), _str_rows, _TRIPLE,
+    ),
+    Command(
+        "enumerate", "all indecomposables of one rank",
+        (_S, _B, _flag("--rank", "module rank (positive)", type=int, required=True)),
+        _cusp, _enumerate, _enumerate_rows,
+    ),
+    Command(
+        "growth", "family counts per rank",
+        (_S, _B, _flag("--r-max", "largest rank to count", type=int, required=True)),
+        _cusp, _growth,
+        lambda r: [("rank", "families")]
+        + [(str(c["rank"]), str(c["families"])) for c in r["counts"]],
+    ),
+    Command(
+        "quiver", "cusp AR quiver as DOT or JSON",
+        (_S, _B, _flag("--max-base-rank", "largest tube base rank", type=int,
+                       required=True), _DEPTH, _LAMBDAS),
+        _cusp,
+        lambda a, g, _i: cusp_quiver(g, a.max_base_rank, a.depth, _lambdas(a.lambdas)),
+        None,
+    ),
+    Command(
+        "tpq-geometry", "cycle weights of the T_pq double cover", (_P, _Q), _tpq,
+        lambda _a, g, _i: {
+            "p": g.p, "q": g.q, "s": g.cusp.s, "b": list(g.cusp.b), "t": g.t,
+            "case": g.case_tag.value,
+        },
+        _str_rows,
+    ),
+    Command(
+        "tpq-sigma", "reflect a sequence by the deck involution",
+        (_P, _Q, _SEQ, _BATCH), _tpq,
+        lambda _a, g, seq: {
+            "sigma": list(apply_sigma(g, seq).entries),
+            "sigma_symmetric": is_sigma_symmetric(g, seq),
+        },
+        _joined_rows, ("seq",),
+    ),
+    Command(
+        "tpq-descend", "CM modules over the curve below a label",
+        (_P, _Q, _flag("--free", "descend the free module", action="store_true"),
+         _SEQ, _M, _LAM, _BATCH),
+        _tpq, _tpq_descend, lambda r: [("label", str(d)) for d in r["labels"]],
+        ("free", *_TRIPLE),
+    ),
+    Command(
+        "tpq-quiver", "curve-side AR quiver as DOT or JSON",
+        (_P, _Q, _DEPTH,
+         _flag("--max-base-rank", "largest cusp tube base rank to descend", type=int),
+         _LAMBDAS,
+         _flag("--seq", "single tube base: degree sequence upstairs"),
+         _flag("--lambda", "single tube base: scalar upstairs", metavar="LAM")),
+        _tpq_one_base, _tpq_quiver, None, ("seq", "lambda"), skip_if="max_base_rank",
+    ),
+)
+
+
+def _emit(obj: dict) -> None:
+    print(json.dumps(obj, separators=(",", ":")))
+
+
+def _error_payload(exc: Exception) -> dict:
+    kind = "kahn_violation" if isinstance(exc, KahnViolation) else "invalid_input"
+    return {"error": {"kind": kind, "message": str(exc)}}
+
+
+def _run(cmd: Command, args: argparse.Namespace) -> int:
+    geom, s = cmd.setup(args)
+    fields = cmd.fields
+    if cmd.skip_if is not None and getattr(args, cmd.skip_if) is not None:
+        fields = ()
+    if getattr(args, "batch", False):
+        for line in sys.stdin:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError("batch record must be a JSON object")
+                _emit(cmd.run(args, geom, _read(record, fields, s)))
+            # A record nested too deep for the JSON decoder or the library
+            # ends with a RecursionError; it is one bad record like any other.
+            except (ValueError, KeyError, RecursionError) as exc:
+                _emit(_error_payload(exc))
+        return 0
+    value = _read(_flag_record(args, fields), fields, s) if fields else None
+    result = cmd.run(args, geom, value)
+    if args.format == "table":
+        _print_table(cmd.rows(result))
+    elif args.format == "dot":
+        sys.stdout.write(export_dot(result))
     else:
-        lambdas = tuple(parse_lambda(tok) for tok in args.lambdas.split(","))
-        quiver = tpq_quiver(
-            geom, args.depth, max_base_rank=args.max_base_rank, lambdas=lambdas
-        )
-    if args.format == "json":
-        _emit(quiver_to_dict(quiver))
-    else:
-        sys.stdout.write(export_dot(quiver))
-    return 0
-
-
-# ----------------------------------------------------------------- parser
-
-
-def _add_format(parser: argparse.ArgumentParser, choices=("json", "table")) -> None:
-    parser.add_argument(
-        "--format", choices=choices, default=choices[0], help="output format"
-    )
-
-
-def _add_cusp_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--s", type=int, required=True, help="cycle component count")
-    parser.add_argument(
-        "--b", required=True, help="cycle weights, comma-separated (length s)"
-    )
-
-
-def _add_triple_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seq", help="degree sequence, comma-separated integers")
-    parser.add_argument("--m", type=int, help="multiplicity (positive)")
-    parser.add_argument(
-        "--lambda", dest="lam", help="scalar: integer or integer/integer, nonzero"
-    )
+        _emit(result if cmd.rows else quiver_to_dict(result))
+    # verify reports a failed check in its result ("ok" or "agree") and exits 2.
+    failed = cmd.rows is not None and False in (result.get("ok"), result.get("agree"))
+    return 2 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -556,116 +465,28 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("canon", help="canonical rotation and aperiodicity")
-    p.add_argument("--s", type=int, required=True, help="cycle component count")
-    p.add_argument("--seq", help="degree sequence, comma-separated integers")
-    p.add_argument("--batch", action="store_true", help="read JSON lines from stdin")
-    _add_format(p)
-    p.set_defaults(func=cmd_canon)
-
-    p = sub.add_parser("cohom", help="closed-form h0/h1 of a bundle triple")
-    p.add_argument("--s", type=int, required=True, help="cycle component count")
-    _add_triple_flags(p)
-    p.add_argument("--batch", action="store_true", help="read JSON lines from stdin")
-    _add_format(p)
-    p.set_defaults(func=cmd_cohom)
-
-    p = sub.add_parser("verify", help="check the formulas against the oracle")
-    p.add_argument("--s", type=int, default=1, help="cycle component count")
-    _add_triple_flags(p)
-    p.add_argument(
-        "--grid",
-        nargs="*",
-        metavar="KEY=VALUE",
-        help=(
-            "sweep a whole box instead of one triple; settings: rs_max=N "
-            "entries=lo..hi m_max=N lambdas=a,b,... s=1,2,..."
-        ),
-    )
-    _add_format(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("classify", help="label the CM module of a triple")
-    _add_cusp_flags(p)
-    _add_triple_flags(p)
-    p.add_argument("--batch", action="store_true", help="read JSON lines from stdin")
-    _add_format(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("enumerate", help="all indecomposables of one rank")
-    _add_cusp_flags(p)
-    p.add_argument("--rank", type=int, required=True, help="module rank (positive)")
-    _add_format(p)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("growth", help="family counts per rank")
-    _add_cusp_flags(p)
-    p.add_argument("--r-max", type=int, required=True, help="largest rank to count")
-    _add_format(p)
-    p.set_defaults(func=cmd_growth)
-
-    p = sub.add_parser("quiver", help="cusp AR quiver as DOT or JSON")
-    _add_cusp_flags(p)
-    p.add_argument(
-        "--max-base-rank", type=int, required=True, help="largest tube base rank"
-    )
-    p.add_argument("--depth", type=int, required=True, help="levels per tube")
-    p.add_argument(
-        "--lambdas", default="1,2", help="scalar sample for tube bases (default 1,2)"
-    )
-    _add_format(p, choices=("dot", "json"))
-    p.set_defaults(func=cmd_quiver)
-
-    p = sub.add_parser("tpq-geometry", help="cycle weights of the T_pq double cover")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_tpq_geometry)
-
-    p = sub.add_parser("tpq-sigma", help="reflect a sequence by the deck involution")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--seq", help="degree sequence, comma-separated integers")
-    p.add_argument("--batch", action="store_true", help="read JSON lines from stdin")
-    _add_format(p)
-    p.set_defaults(func=cmd_tpq_sigma)
-
-    p = sub.add_parser("tpq-descend", help="CM modules over the curve below a label")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--free", action="store_true", help="descend the free module")
-    _add_triple_flags(p)
-    p.add_argument("--batch", action="store_true", help="read JSON lines from stdin")
-    _add_format(p)
-    p.set_defaults(func=cmd_tpq_descend)
-
-    p = sub.add_parser("tpq-quiver", help="curve-side AR quiver as DOT or JSON")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True, help="levels per tube")
-    p.add_argument(
-        "--max-base-rank", type=int, help="largest cusp tube base rank to descend"
-    )
-    p.add_argument(
-        "--lambdas", default="1,2", help="scalar sample for tube bases (default 1,2)"
-    )
-    p.add_argument("--seq", help="single tube base: degree sequence upstairs")
-    p.add_argument("--lambda", dest="lam", help="single tube base: scalar upstairs")
-    _add_format(p, choices=("dot", "json"))
-    p.set_defaults(func=cmd_tpq_quiver)
-
+    for cmd in COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        for flag, options in cmd.flags:
+            p.add_argument(flag, **options)
+        choices = ("json", "table") if cmd.rows else ("dot", "json")
+        p.add_argument(
+            "--format", choices=choices, default=choices[0], help="output format"
+        )
+        p.set_defaults(cmd=cmd)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args.cmd, args)
     except BrokenPipeError:
         return 0
-    except ValueError as exc:
-        if getattr(args, "format", "json") == "json":
+    # A search deeper than the interpreter's stack (a long cycle) raises
+    # RecursionError; it is reported as invalid input, not as a traceback.
+    except (ValueError, RecursionError) as exc:
+        if args.format == "json":
             _emit(_error_payload(exc))
         else:
             print(f"error: {exc}", file=sys.stderr)

@@ -44,10 +44,6 @@ class KahnViolation(ValueError):
     """No Cohen-Macaulay module exists for the requested parameters."""
 
 
-def _format_scalar(lam: Fraction) -> str:
-    return str(lam)
-
-
 @dataclass(frozen=True)
 class BundleTriple:
     """Parameters (d, m, lam) of an indecomposable bundle on the cycle.
@@ -71,7 +67,7 @@ class BundleTriple:
         object.__setattr__(self, "lam", lam)
 
     def __str__(self) -> str:
-        return f"({self.seq},{self.m},{_format_scalar(self.lam)})"
+        return f"({self.seq},{self.m},{self.lam})"
 
 
 @dataclass(frozen=True)
@@ -195,6 +191,14 @@ def kahn_condition(triple: BundleTriple) -> bool:
     return triple.lam != 1
 
 
+def kahn_violation(triple: BundleTriple) -> KahnViolation:
+    """The error for a triple that fails the existence test, naming it."""
+    return KahnViolation(
+        f"no CM module for {triple}: the sequence must be non-negative "
+        "and either positive somewhere or zero with lam != 1"
+    )
+
+
 def twist_by_cycle(seq: SSeq, geom: CuspGeometry) -> SSeq:
     """Subtract one copy of the weights b from every walk of the cycle."""
     if seq.s != geom.s:
@@ -215,10 +219,7 @@ def n_global(triple: BundleTriple, geom: CuspGeometry) -> int:
         KahnViolation: when the triple fails the existence test.
     """
     if not kahn_condition(triple):
-        raise KahnViolation(
-            f"no CM module for {triple}: the sequence must be non-negative "
-            "and either positive somewhere or zero with lam != 1"
-        )
+        raise kahn_violation(triple)
     twisted = twist_by_cycle(triple.seq, geom)
     return cohom_dims(BundleTriple(twisted, triple.m, triple.lam)).h0
 

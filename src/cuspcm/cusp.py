@@ -23,8 +23,8 @@ from typing import Sequence
 from .cohomology import (
     BundleTriple,
     CuspGeometry,
-    KahnViolation,
     kahn_condition,
+    kahn_violation,
     module_rank,
 )
 from .sequences import SSeq, canonical_form, is_aperiodic
@@ -135,11 +135,8 @@ def classify_label(triple: BundleTriple, geom: CuspGeometry) -> CMModuleLabel:
         )
     if not is_aperiodic(triple.seq):
         raise ValueError(f"periodic sequence {triple.seq} does not label a module")
-    if not kahn_condition(triple):
-        raise KahnViolation(
-            f"no CM module for {triple}: the sequence must be non-negative "
-            "and either positive somewhere or zero with lam != 1"
-        )
+    if not kahn_condition(triple):  # before canonicalising, to name this rotation
+        raise kahn_violation(triple)
     canon = BundleTriple(canonical_form(triple.seq), triple.m, triple.lam)
     return CMModuleLabel(geometry=geom, triple=canon, rank=module_rank(canon, geom))
 

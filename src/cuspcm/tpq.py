@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .cohomology import BundleTriple, CuspGeometry, KahnViolation, kahn_condition
+from .cohomology import BundleTriple, CuspGeometry, kahn_condition, kahn_violation
 from .cusp import CMModuleLabel
 from .sequences import SSeq, canonical_form, is_aperiodic, shift_by
 
@@ -124,7 +124,7 @@ def sigma_of_module(geom: TpqGeometry, triple: BundleTriple) -> BundleTriple:
     twice gives back a triple shift-equivalent to the input.
     """
     if not kahn_condition(triple):
-        raise KahnViolation(f"no CM module for {triple}")
+        raise kahn_violation(triple)
     reflected = apply_sigma(geom, triple.seq)
     return BundleTriple(canonical_form(reflected), triple.m, 1 / triple.lam)
 

@@ -259,3 +259,58 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == '{"canonical":[1,2,3,4],"aperiodic":true}\n'
+
+
+# ------------------------------------------------------- robustness
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohom", "--s", "1", "--seq", "1", "--m", "1"],
+        ["classify", "--s", "1", "--b", "1", "--seq", "1", "--m", "1"],
+        ["verify", "--seq", "1", "--m", "1"],
+        ["tpq-descend", "--p", "3", "--q", "8", "--seq", "1,0", "--m", "1"],
+        ["tpq-quiver", "--p", "3", "--q", "8", "--depth", "2", "--seq", "1,0",
+         "--format", "json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_missing_lambda_names_the_flag(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == "--lambda is required"
+
+
+def test_deeply_nested_record_does_not_end_the_stream(capsys, monkeypatch):
+    code, out = run_batch(
+        capsys, monkeypatch,
+        ["cohom", "--s", "1", "--batch"],
+        ['{"seq": [1], "m": 1, "lambda": 2}', "[" * 100_000,
+         '{"seq": [2], "m": 1, "lambda": 2}'],
+    )
+    assert code == 0
+    first, bad, last = (json.loads(l) for l in out.splitlines())
+    assert first == {"theta": 1, "delta": 0, "h0": 1, "h1": 0}
+    assert bad["error"]["kind"] == "invalid_input"
+    assert last == {"theta": 1, "delta": 0, "h0": 2, "h1": 0}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--s", "1200", "--b", ",".join(["1"] + ["0"] * 1199),
+         "--rank", "1"],
+        ["tpq-quiver", "--p", "3", "--q", "1300", "--depth", "1",
+         "--max-base-rank", "1", "--format", "json"],
+    ],
+    ids=["enumerate", "tpq-quiver"],
+)
+def test_long_cycles_give_a_result_or_a_structured_error(capsys, argv):
+    code, out = run(capsys, *argv)
+    lines = out.splitlines()
+    if code == 0:
+        assert "error" not in json.loads(out)
+    else:
+        assert code == 2 and len(lines) == 1
+        assert json.loads(lines[0])["error"]["kind"] == "invalid_input"
