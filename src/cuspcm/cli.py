@@ -23,16 +23,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from .cohomology import BundleTriple, CohomReport, KahnViolation, cohom_dims
+from .cohomology import (
+    BundleTriple, CohomReport, CuspGeometry, KahnViolation, cohom_dims,
+)
 from .cusp import (
     CMModuleLabel, classify_label, enumerate_rank, family_counts, free_label,
-    validate_cusp,
 )
 from .oracle import verify_formula, verify_grid
 from .quiver import cusp_quiver, export_dot, quiver_to_dict, tpq_quiver
 from .sequences import SSeq, canonical_form, is_aperiodic
 from .tpq import (
-    TpqKind, TpqModuleLabel, apply_sigma, descend, geometry_of, is_sigma_symmetric,
+    TpqFree, TpqModuleLabel, TpqSingle, apply_sigma, descend, geometry_of,
+    is_sigma_symmetric,
 )
 
 _SEQ_RE = re.compile(r"-?\d+(,-?\d+)*")
@@ -140,10 +142,10 @@ def _label_dict(label: CMModuleLabel) -> dict:
 
 
 def _tpq_label_dict(label: TpqModuleLabel) -> dict:
-    if label.kind is TpqKind.FREE:
+    if isinstance(label, TpqFree):
         return {"kind": "free"}
     out = {"kind": label.kind.value, "seq": list(label.seq.entries), "m": label.m}
-    if label.kind is TpqKind.SINGLE:
+    if isinstance(label, TpqSingle):
         out["lam"] = str(label.lam)
     else:
         out.update(sign=label.sign, branch=label.branch)
@@ -158,6 +160,13 @@ def _verify(args: argparse.Namespace, _geom: None, triple: BundleTriple | None):
             "oracle": _report_dict(r.oracle)}
 
 
+def _grid_int(key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"grid setting {key!r} must be an integer, got {text!r}")
+
+
 def _verify_grid(tokens: Sequence[str]) -> dict:
     # verify_grid skips every s above rs_max.
     spec: dict = {"s_values": (1, 2, 3), "rs_max": 4, "lo": -2, "hi": 2,
@@ -167,18 +176,18 @@ def _verify_grid(tokens: Sequence[str]) -> dict:
         if not sep:
             raise ValueError(f"malformed grid setting {token!r}: expected key=value")
         if key == "rs_max":
-            spec["rs_max"] = int(value)
+            spec["rs_max"] = _grid_int(key, value)
         elif key == "entries":
             match = _RANGE_RE.fullmatch(value)
             if not match:
                 raise ValueError(f"malformed entries range {value!r}: expected lo..hi")
             spec["lo"], spec["hi"] = int(match.group(1)), int(match.group(2))
         elif key == "m_max":
-            spec["m_values"] = tuple(range(1, int(value) + 1))
+            spec["m_values"] = tuple(range(1, _grid_int(key, value) + 1))
         elif key == "lambdas":
             spec["lambdas"] = _lambdas(value)
         elif key == "s":
-            spec["s_values"] = tuple(int(tok) for tok in value.split(","))
+            spec["s_values"] = tuple(_grid_int(key, tok) for tok in value.split(","))
         else:
             raise ValueError(f"unknown grid setting {key!r}")
     report = verify_grid(**spec)
@@ -280,7 +289,7 @@ def _plain(args: argparse.Namespace) -> tuple[None, int]:
 
 
 def _cusp(args: argparse.Namespace):
-    geom = validate_cusp(args.s, parse_seq(args.b))
+    geom = CuspGeometry(args.s, parse_seq(args.b))
     return geom, geom.s
 
 

@@ -21,7 +21,6 @@ from fractions import Fraction
 from .sequences import SSeq
 
 __all__ = [
-    "Scalar",
     "KahnViolation",
     "BundleTriple",
     "CuspGeometry",
@@ -35,10 +34,6 @@ __all__ = [
     "n_global",
     "module_rank",
 ]
-
-# Exact stand-in for an element of K^*: any nonzero rational.
-Scalar = Fraction
-
 
 class KahnViolation(ValueError):
     """No Cohen-Macaulay module exists for the requested parameters."""
@@ -56,7 +51,7 @@ class BundleTriple:
 
     seq: SSeq
     m: int
-    lam: Scalar
+    lam: Fraction
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -150,7 +145,7 @@ def theta(seq: SSeq) -> int:
     return total
 
 
-def delta(seq: SSeq, lam: Scalar | int | str) -> int:
+def delta(seq: SSeq, lam: Fraction | int | str) -> int:
     """1 exactly for the zero sequence with lam = 1, else 0."""
     if any(v != 0 for v in seq.entries):
         return 0

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
 
 from .cohomology import (
     BundleTriple,
@@ -35,7 +34,6 @@ __all__ = [
     "FamilyDescriptor",
     "RankSlice",
     "GrowthTable",
-    "validate_cusp",
     "free_label",
     "classify_label",
     "enumerate_rank",
@@ -103,15 +101,6 @@ class GrowthTable:
 
     counts: dict[int, int]
     exceptional: dict[int, tuple[CMModuleLabel, ...]]
-
-
-def validate_cusp(s: int, b: Sequence[int]) -> CuspGeometry:
-    """Check and package cusp resolution data.
-
-    For s = 1 the single weight must be >= 1; for s > 1 the weights must be
-    non-negative and not all zero.
-    """
-    return CuspGeometry(s, tuple(b))
 
 
 def free_label(geom: CuspGeometry) -> CMModuleLabel:

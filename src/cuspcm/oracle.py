@@ -263,7 +263,12 @@ def verify_grid(
     exact checks run: the closed-form h^0/h^1 equal the measured ones, both
     sides satisfy h^0 - h^1 = m * sum(d), and the measured rank satisfies
     rk h = m*theta(d) - delta(d, lam).  Zero tolerance throughout.
+
+    Raises:
+        ValueError: for an s below 1, or a box that holds no case.
     """
+    if any(s < 1 for s in s_values):
+        raise ValueError(f"s must be at least 1, got {min(s_values)}")
     lams = tuple(Fraction(l) for l in lambdas)
     cases = 0
     mismatches: list[str] = []
@@ -298,6 +303,11 @@ def verify_grid(
                         euler.append(tag)
                     if rk != m * formula.theta - formula.delta:
                         rank_id.append(f"{tag}: rk={rk}")
+    if cases == 0:
+        raise ValueError(
+            f"the grid box holds no cases: s={list(s_values)}, rs_max={rs_max}, "
+            f"m={list(m_values)}, {len(lams)} lambdas"
+        )
     return GridReport(
         cases=cases,
         formula_mismatches=tuple(mismatches),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .cohomology import BundleTriple, CuspGeometry, Scalar
+from .cohomology import BundleTriple, CuspGeometry
 from .cusp import (
     CMModuleLabel,
     LambdaBase,
@@ -29,7 +29,9 @@ from .cusp import (
     free_label,
 )
 from .sequences import SSeq, canonical_form
-from .tpq import TpqGeometry, TpqKind, TpqModuleLabel, apply_sigma, is_sigma_symmetric
+from .tpq import (
+    TpqBranch, TpqFree, TpqGeometry, TpqSingle, apply_sigma, is_sigma_symmetric,
+)
 
 __all__ = [
     "QuiverNode",
@@ -41,8 +43,6 @@ __all__ = [
     "build_tube",
     "cusp_quiver",
     "tpq_quiver",
-    "ArrowMultiplicity",
-    "arrow_multiplicity",
     "export_dot",
     "quiver_to_dict",
 ]
@@ -59,7 +59,6 @@ class QuiverNode:
 class QuiverArrow:
     src: str
     dst: str
-    mult: int = 1
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,9 @@ def ar_sequence(geom: CuspGeometry, label: CMModuleLabel) -> ARSequence:
     return ARSequence(left=label, middle=middle, right=label)
 
 
-def build_tube(geom: CuspGeometry, seq: SSeq, lam: Scalar | int | str, depth: int) -> ARQuiver:
+def build_tube(
+    geom: CuspGeometry, seq: SSeq, lam: Fraction | int | str, depth: int
+) -> ARQuiver:
     """The tube over one parameter point: M(seq, m, lam) for m = 1..depth.
 
     Consecutive levels are joined by one arrow each way.  Over (B, 1) the
@@ -134,35 +135,25 @@ def build_tube(geom: CuspGeometry, seq: SSeq, lam: Scalar | int | str, depth: in
     labels = [
         classify_label(BundleTriple(seq, m, lam), geom) for m in range(1, depth + 1)
     ]
-    ids = [str(lab) for lab in labels]
-    special = labels[0].triple.seq == geom.b_sequence and lam == 1
-
-    nodes: list[QuiverNode] = []
-    arrows: list[QuiverArrow] = []
-    members: list[str] = []
-    if special:
+    nodes = [QuiverNode(id=str(lab), kind="module", rank=lab.rank) for lab in labels]
+    if labels[0].triple.seq == geom.b_sequence and lam == 1:
         a = free_label(geom)
-        nodes.append(QuiverNode(id=str(a), kind="free", rank=a.rank))
-        members.append(str(a))
-        arrows.append(QuiverArrow(src=str(a), dst=ids[0]))
-        arrows.append(QuiverArrow(src=ids[0], dst=str(a)))
-    for lab, nid in zip(labels, ids):
-        nodes.append(QuiverNode(id=nid, kind="module", rank=lab.rank))
-        members.append(nid)
-    for low, high in zip(ids, ids[1:]):
-        arrows.append(QuiverArrow(src=low, dst=high))
-        arrows.append(QuiverArrow(src=high, dst=low))
+        nodes.insert(0, QuiverNode(id=str(a), kind="free", rank=a.rank))
+    return _period_one_tube(f"T({labels[0].triple.seq},{lam})", nodes)
 
-    tube = Tube(
-        id=f"T({labels[0].triple.seq},{lam})",
-        period=1,
-        members=tuple(members),
-    )
+
+def _period_one_tube(tube_id: str, nodes: list[QuiverNode]) -> ARQuiver:
+    # The nodes in order, consecutive ones joined by one arrow each way; the
+    # translation fixes every node but a free one glued below the bottom.
+    ids = [node.id for node in nodes]
+    arrows: list[QuiverArrow] = []
+    for low, high in zip(ids, ids[1:]):
+        arrows += (QuiverArrow(src=low, dst=high), QuiverArrow(src=high, dst=low))
     return ARQuiver(
         nodes=tuple(nodes),
         arrows=tuple(arrows),
-        tubes=(tube,),
-        translate={nid: nid for nid in ids},
+        tubes=(Tube(id=tube_id, period=1, members=tuple(ids)),),
+        translate={node.id: node.id for node in nodes if node.kind != "free"},
     )
 
 
@@ -183,7 +174,7 @@ def _merge(quivers: Iterable[ARQuiver]) -> ARQuiver:
 
 
 def _base_points(
-    geom: CuspGeometry, max_base_rank: int, lambdas: Sequence[Scalar | int | str]
+    geom: CuspGeometry, max_base_rank: int, lambdas: Sequence[Fraction | int | str]
 ) -> list[tuple[SSeq, Fraction]]:
     # Tube bases (seq, lam) whose bottom module has rank <= max_base_rank,
     # in (family rank, sequence length, sequence, lam) order.
@@ -214,7 +205,7 @@ def cusp_quiver(
     geom: CuspGeometry,
     max_base_rank: int,
     depth: int,
-    lambdas: Sequence[Scalar | int | str] = (1, 2),
+    lambdas: Sequence[Fraction | int | str] = (1, 2),
 ) -> ARQuiver:
     """Assemble the tubes whose bottom module has rank <= max_base_rank.
 
@@ -234,38 +225,23 @@ def _tpq_tube(
     # One curve-side tube over the sigma-orbit of (seq, lam).
     split = is_sigma_symmetric(geom, seq) and lam in (1, -1)
     if not split:
-        labels = [
-            TpqModuleLabel(geometry=geom, kind=TpqKind.SINGLE, seq=seq, m=m, lam=lam)
+        nodes = [
+            QuiverNode(id=str(TpqSingle(geom, seq, m, lam)), kind="single")
             for m in range(1, depth + 1)
         ]
-        ids = [str(lab) for lab in labels]
-        nodes = [QuiverNode(id=nid, kind="single") for nid in ids]
-        arrows: list[QuiverArrow] = []
-        for low, high in zip(ids, ids[1:]):
-            arrows.append(QuiverArrow(src=low, dst=high))
-            arrows.append(QuiverArrow(src=high, dst=low))
-        tube = Tube(id=f"T({seq},{lam})", period=1, members=tuple(ids))
-        return ARQuiver(
-            nodes=tuple(nodes), arrows=tuple(arrows), tubes=(tube,),
-            translate={nid: nid for nid in ids},
-        )
+        return _period_one_tube(f"T({seq},{lam})", nodes)
 
     sign = 1 if lam == 1 else -1
     special = seq == geom.cusp.b_sequence and sign == 1
 
     def branch_id(branch: int, m: int) -> str:
-        return str(
-            TpqModuleLabel(
-                geometry=geom, kind=TpqKind.SPLIT,
-                seq=seq, m=m, sign=sign, branch=branch,
-            )
-        )
+        return str(TpqBranch(geom, seq, m, sign, branch))
 
     nodes = []
     members: list[str] = []
-    arrows = []
+    arrows: list[QuiverArrow] = []
     translate: dict[str, str] = {}
-    free_id = str(TpqModuleLabel(geometry=geom, kind=TpqKind.FREE))
+    free_id = str(TpqFree(geom))
     if special:
         nodes.append(QuiverNode(id=free_id, kind="free"))
         members.append(free_id)
@@ -295,8 +271,8 @@ def tpq_quiver(
     geom: TpqGeometry,
     depth: int,
     max_base_rank: int | None = None,
-    lambdas: Sequence[Scalar | int | str] = (1, 2),
-    bases: Sequence[tuple[SSeq, Scalar | int | str]] | None = None,
+    lambdas: Sequence[Fraction | int | str] = (1, 2),
+    bases: Sequence[tuple[SSeq, Fraction | int | str]] | None = None,
 ) -> ARQuiver:
     """Curve-side AR quiver assembled from descended tubes.
 
@@ -331,33 +307,10 @@ def tpq_quiver(
     return _merge(quivers)
 
 
-@dataclass(frozen=True)
-class ArrowMultiplicity:
-    """Arrow counts for the n-dimensional hypersurface analogue."""
-
-    at_free: int
-    per_arrow_added: int
-
-
-def arrow_multiplicity(n: int) -> ArrowMultiplicity:
-    """How the quiver decorations scale with hypersurface dimension n.
-
-    Even n: the arrow pair at the free vertex becomes 2^(n/2) parallel
-    arrows and nothing else changes.  Odd n: the free vertex keeps its two
-    arrows and every other arrow gains 2^((n-1)/2) parallel copies.
-    """
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got {n}")
-    if n % 2 == 0:
-        return ArrowMultiplicity(at_free=2 ** (n // 2), per_arrow_added=0)
-    return ArrowMultiplicity(at_free=2, per_arrow_added=2 ** ((n - 1) // 2))
-
-
 def export_dot(quiver: ARQuiver) -> str:
     """Render as a DOT digraph, one cluster per tube, byte-deterministic.
 
-    Node labels carry the rank when one is defined; arrows of multiplicity
-    greater than one carry the multiplicity as an edge label.
+    Node labels carry the rank when one is defined.
     """
     by_id = {node.id: node for node in quiver.nodes}
     lines = ["digraph ar_quiver {", "  rankdir=BT;"]
@@ -376,8 +329,7 @@ def export_dot(quiver: ARQuiver) -> str:
             text = node.id if node.rank is None else f"{node.id}\\nrank {node.rank}"
             lines.append(f'  "{node.id}" [label="{text}"];')
     for arrow in quiver.arrows:
-        attr = f' [label="{arrow.mult}"]' if arrow.mult > 1 else ""
-        lines.append(f'  "{arrow.src}" -> "{arrow.dst}"{attr};')
+        lines.append(f'  "{arrow.src}" -> "{arrow.dst}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -390,10 +342,11 @@ def quiver_to_dict(quiver: ARQuiver) -> dict:
         if node.rank is not None:
             item["rank"] = node.rank
         nodes.append(item)
+    # Every arrow is simple; the JSON format keeps its multiplicity key.
     return {
         "nodes": nodes,
         "arrows": [
-            {"src": a.src, "dst": a.dst, "mult": a.mult} for a in quiver.arrows
+            {"src": a.src, "dst": a.dst, "mult": 1} for a in quiver.arrows
         ],
         "tubes": [
             {"id": t.id, "period": t.period, "members": list(t.members)}

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import ClassVar
 
 from .cohomology import BundleTriple, CuspGeometry, kahn_condition, kahn_violation
 from .cusp import CMModuleLabel
@@ -25,6 +26,9 @@ __all__ = [
     "TpqGeometry",
     "TpqKind",
     "TpqModuleLabel",
+    "TpqFree",
+    "TpqSingle",
+    "TpqBranch",
     "geometry_of",
     "apply_sigma",
     "is_sigma_symmetric",
@@ -135,72 +139,88 @@ class TpqKind(Enum):
     SPLIT = "split"
 
 
-@dataclass(frozen=True)
-class TpqModuleLabel:
-    """Label of an indecomposable CM module over the curve T_pq.
+def _module_seq(geom: TpqGeometry, seq: SSeq, m: int, lam: Fraction | int) -> SSeq:
+    # What both module labels check of the surface data (seq, m, lam); gives
+    # the canonical rotation of seq.
+    if m < 1:
+        raise ValueError(f"module labels need a positive m, got {m}")
+    if seq.s != geom.cusp.s:
+        raise ValueError(f"sequence has s={seq.s}, the geometry s={geom.cusp.s}")
+    if not is_aperiodic(seq):
+        raise ValueError(f"periodic sequence {seq} does not label a module")
+    if any(v < 0 for v in seq.entries):
+        raise ValueError(f"negative entries in {seq} label no module")
+    if lam == 1 and all(v == 0 for v in seq.entries):
+        raise ValueError("no module for the zero sequence with lam=1")
+    return canonical_form(seq)
 
-    Three shapes: the free module; a single module N(seq, m, lam) for
-    non-sigma-fixed surface data; a branch module N_branch(seq, m, sign)
-    for sigma-symmetric seq and lam = sign in {+1, -1}.  No rank is
-    attached: ranks downstairs are not determined by the surface label.
+
+@dataclass(frozen=True)
+class TpqFree:
+    """The free module A' over the curve T_pq."""
+
+    geometry: TpqGeometry
+    kind: ClassVar[TpqKind] = TpqKind.FREE
+
+    def __str__(self) -> str:
+        return "A'"
+
+
+@dataclass(frozen=True)
+class TpqSingle:
+    """The module N(seq, m, lam) below surface data that is not sigma-fixed.
+
+    No rank is attached: ranks downstairs are not determined by the label.
     """
 
     geometry: TpqGeometry
-    kind: TpqKind
-    seq: SSeq | None = None
-    m: int | None = None
-    lam: Fraction | None = None  # single only
-    sign: int | None = None  # split only
-    branch: int | None = None  # split only
+    seq: SSeq
+    m: int
+    lam: Fraction
+    kind: ClassVar[TpqKind] = TpqKind.SINGLE
 
     def __post_init__(self) -> None:
-        if self.kind is TpqKind.FREE:
-            if not (self.seq is None and self.m is None and self.lam is None
-                    and self.sign is None and self.branch is None):
-                raise ValueError("the free label carries no parameters")
-            return
-        if self.seq is None or self.m is None or self.m < 1:
-            raise ValueError("module labels need a sequence and a positive m")
-        if not is_aperiodic(self.seq):
-            raise ValueError(f"periodic sequence {self.seq} does not label a module")
-        if any(v < 0 for v in self.seq.entries):
-            raise ValueError(f"negative entries in {self.seq} label no module")
-        object.__setattr__(self, "seq", canonical_form(self.seq))
-        symmetric = is_sigma_symmetric(self.geometry, self.seq)
-        zero = all(v == 0 for v in self.seq.entries)
-        if self.kind is TpqKind.SINGLE:
-            if self.sign is not None or self.branch is not None:
-                raise ValueError("single labels carry lam, not sign/branch")
-            lam = Fraction(self.lam)
-            if lam == 0:
-                raise ValueError("lam must be a nonzero rational")
-            if zero and lam == 1:
-                raise ValueError("no module for the zero sequence with lam=1")
-            if symmetric and lam in (1, -1):
-                raise ValueError(
-                    f"sigma-symmetric {self.seq} with lam={lam} splits; "
-                    "use branch labels"
-                )
-            object.__setattr__(self, "lam", lam)
-            return
-        # split
-        if self.lam is not None:
-            raise ValueError("branch labels carry a sign, not lam")
+        lam = Fraction(self.lam)
+        if lam == 0:
+            raise ValueError("lam must be a nonzero rational")
+        seq = _module_seq(self.geometry, self.seq, self.m, lam)
+        if lam in (1, -1) and is_sigma_symmetric(self.geometry, seq):
+            raise ValueError(f"{seq} with lam={lam} splits; use branch labels")
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "lam", lam)
+
+    def __str__(self) -> str:
+        return f"N({self.seq},{self.m},{self.lam})"
+
+
+@dataclass(frozen=True)
+class TpqBranch:
+    """Branch module N_branch(seq, m, sign), branch 1 or 2, of the pair that
+    sigma-symmetric seq with lam = sign in {+1, -1} splits into."""
+
+    geometry: TpqGeometry
+    seq: SSeq
+    m: int
+    sign: int
+    branch: int
+    kind: ClassVar[TpqKind] = TpqKind.SPLIT
+
+    def __post_init__(self) -> None:
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         if self.branch not in (1, 2):
             raise ValueError(f"branch must be 1 or 2, got {self.branch}")
-        if not symmetric:
-            raise ValueError(f"{self.seq} is not sigma-symmetric; nothing splits")
-        if zero and self.sign == 1:
-            raise ValueError("no module for the zero sequence with lam=1")
+        seq = _module_seq(self.geometry, self.seq, self.m, self.sign)
+        if not is_sigma_symmetric(self.geometry, seq):
+            raise ValueError(f"{seq} is not sigma-symmetric; nothing splits")
+        object.__setattr__(self, "seq", seq)
 
     def __str__(self) -> str:
-        if self.kind is TpqKind.FREE:
-            return "A'"
-        if self.kind is TpqKind.SINGLE:
-            return f"N({self.seq},{self.m},{self.lam})"
         return f"N{self.branch}({self.seq},{self.m},{self.sign})"
+
+
+# Label of an indecomposable CM module over the curve T_pq.
+TpqModuleLabel = TpqFree | TpqSingle | TpqBranch
 
 
 def descend(geom: TpqGeometry, label: CMModuleLabel) -> list[TpqModuleLabel]:
@@ -213,22 +233,11 @@ def descend(geom: TpqGeometry, label: CMModuleLabel) -> list[TpqModuleLabel]:
     if label.geometry != geom.cusp:
         raise ValueError("label belongs to a different geometry")
     if label.is_free:
-        return [TpqModuleLabel(geometry=geom, kind=TpqKind.FREE)]
+        return [TpqFree(geom)]
     t = label.triple
-    if is_sigma_symmetric(geom, t.seq) and t.lam in (1, -1):
-        sign = 1 if t.lam == 1 else -1
-        return [
-            TpqModuleLabel(
-                geometry=geom, kind=TpqKind.SPLIT,
-                seq=t.seq, m=t.m, sign=sign, branch=branch,
-            )
-            for branch in (1, 2)
-        ]
-    return [
-        TpqModuleLabel(
-            geometry=geom, kind=TpqKind.SINGLE, seq=t.seq, m=t.m, lam=t.lam
-        )
-    ]
+    if t.lam in (1, -1) and is_sigma_symmetric(geom, t.seq):
+        return [TpqBranch(geom, t.seq, t.m, int(t.lam), b) for b in (1, 2)]
+    return [TpqSingle(geom, t.seq, t.m, t.lam)]
 
 
 def tpq_iso(geom: TpqGeometry, a: TpqModuleLabel, b: TpqModuleLabel) -> bool:
@@ -239,19 +248,8 @@ def tpq_iso(geom: TpqGeometry, a: TpqModuleLabel, b: TpqModuleLabel) -> bool:
     """
     if a.geometry != geom or b.geometry != geom:
         raise ValueError("labels belong to a different geometry")
-    if a.kind != b.kind:
-        return False
-    if a.kind is TpqKind.FREE:
-        return True
-    if a.kind is TpqKind.SPLIT:
-        return a == b
     if a == b:
         return True
-    flipped = TpqModuleLabel(
-        geometry=geom,
-        kind=TpqKind.SINGLE,
-        seq=canonical_form(apply_sigma(geom, b.seq)),
-        m=b.m,
-        lam=1 / b.lam,
-    )
-    return a == flipped
+    if not (isinstance(a, TpqSingle) and isinstance(b, TpqSingle)):
+        return False
+    return a == TpqSingle(geom, apply_sigma(geom, b.seq), b.m, 1 / b.lam)

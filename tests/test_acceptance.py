@@ -16,6 +16,7 @@ import pytest
 
 from cuspcm import (
     BundleTriple,
+    CuspGeometry,
     LambdaBase,
     SSeq,
     apply_sigma,
@@ -39,14 +40,13 @@ from cuspcm import (
     sigma_of_module,
     tpq_iso,
     tpq_quiver,
-    validate_cusp,
     verify_grid,
 )
 from cuspcm.tpq import TpqKind
 
 GOLDEN = Path(__file__).parent / "golden"
 
-B1 = validate_cusp(1, [1])
+B1 = CuspGeometry(1, [1])
 
 SIGMA_CASES = [(3, 7), (3, 8), (4, 5), (4, 6), (5, 5), (5, 6), (6, 7)]
 
@@ -105,7 +105,7 @@ def test_criterion_05_ar_rank_additivity():
     # swept at one generic scalar, the small ones at four including 1.
     checked = 0
     for s, b in [(1, [1]), (1, [2]), (2, [1, 0]), (3, [1, 1, 0])]:
-        geom = validate_cusp(s, b)
+        geom = CuspGeometry(s, b)
         if s == 3:
             lams = [Fraction(2)]
         else:

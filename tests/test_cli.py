@@ -71,6 +71,24 @@ def test_verify_grid_summary(capsys):
     assert result["cases"] > 0
 
 
+BAD_GRIDS = {
+    "s=0": "s must be at least 1, got 0",
+    "rs_max=-1": "the grid box holds no cases",
+    "m_max=0": "the grid box holds no cases",
+    "s=9": "the grid box holds no cases",
+    "m_max=x": "grid setting 'm_max' must be an integer, got 'x'",
+}
+
+
+@pytest.mark.parametrize("setting", BAD_GRIDS)
+def test_verify_grid_bad_box_is_invalid_input(capsys, setting):
+    code, out = run(capsys, "verify", "--grid", setting)
+    error = json.loads(out)["error"]
+    assert code == 2
+    assert error["kind"] == "invalid_input"
+    assert error["message"].startswith(BAD_GRIDS[setting])
+
+
 def test_verify_single_triple(capsys):
     code, out = run(
         capsys, "verify", "--s", "1", "--seq", "0,1", "--m", "2", "--lambda", "-1"

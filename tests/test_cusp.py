@@ -12,6 +12,7 @@ import pytest
 
 from cuspcm import (
     BundleTriple,
+    CuspGeometry,
     KahnViolation,
     LambdaBase,
     SSeq,
@@ -22,10 +23,9 @@ from cuspcm import (
     free_label,
     is_aperiodic,
     module_rank,
-    validate_cusp,
 )
 
-B1 = validate_cusp(1, [1])
+B1 = CuspGeometry(1, [1])
 
 
 def brute_families(geom, rank):
@@ -50,14 +50,14 @@ def brute_families(geom, rank):
 
 
 def test_validate_cusp_examples():
-    assert validate_cusp(1, [1]).b == (1,)
-    assert validate_cusp(3, [1, 0, 0]).s == 3
+    assert CuspGeometry(1, [1]).b == (1,)
+    assert CuspGeometry(3, [1, 0, 0]).s == 3
     with pytest.raises(ValueError):
-        validate_cusp(2, [0, 0])
+        CuspGeometry(2, [0, 0])
     with pytest.raises(ValueError):
-        validate_cusp(1, [0])
+        CuspGeometry(1, [0])
     with pytest.raises(ValueError):
-        validate_cusp(0, [])
+        CuspGeometry(0, [])
 
 
 # --------------------------------------------------------------- labels
@@ -69,7 +69,7 @@ def test_classify_label_examples():
     assert str(lab) == "M([1],1,1)"
     with pytest.raises(KahnViolation):
         classify_label(BundleTriple(SSeq(1, (0,)), 1, Fraction(1)), B1)
-    geom = validate_cusp(2, [1, 0])
+    geom = CuspGeometry(2, [1, 0])
     with pytest.raises(ValueError):
         classify_label(BundleTriple(SSeq(2, (1, 0, 1, 0)), 1, Fraction(2)), geom)
     with pytest.raises(ValueError):
@@ -124,7 +124,7 @@ def test_families_agree_with_brute_force(rank):
     assert got == sorted(brute_families(B1, rank))
 
 
-@pytest.mark.parametrize("geom", [B1, validate_cusp(2, [1, 0]), validate_cusp(2, [2, 0])])
+@pytest.mark.parametrize("geom", [B1, CuspGeometry(2, [1, 0]), CuspGeometry(2, [2, 0])])
 def test_slices_are_sound_and_duplicate_free(geom):
     for rank in range(1, 5):
         piece = enumerate_rank(geom, rank)

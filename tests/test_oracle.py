@@ -190,3 +190,18 @@ def test_verify_grid_skips_oversized_s():
     )
     # s=1 contributes [0], [1], [0,1]; s=5 exceeds rs_max and is skipped.
     assert report.ok and report.cases == 3
+
+
+@pytest.mark.parametrize("s", [0, -1])
+def test_verify_grid_rejects_s_below_one(s):
+    with pytest.raises(ValueError, match=f"s must be at least 1, got {s}"):
+        verify_grid(s_values=(1, s), rs_max=2, lo=0, hi=1, m_values=(1,), lambdas=(2,))
+
+
+@pytest.mark.parametrize(
+    "box", [{"rs_max": -1}, {"m_values": ()}, {"lambdas": ()}, {"s_values": (9,)}]
+)
+def test_verify_grid_rejects_an_empty_box(box):
+    small = {"rs_max": 4, "lo": 0, "hi": 1, "m_values": (1,), "lambdas": (2,)}
+    with pytest.raises(ValueError, match="holds no cases"):
+        verify_grid(**{**small, **box})

@@ -1,5 +1,6 @@
 """AR quiver assembly: almost split sequences, tubes, DOT/JSON export."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,10 @@ import pytest
 from cuspcm import (
     ARQuiver,
     BundleTriple,
+    CuspGeometry,
     KahnViolation,
     SSeq,
     ar_sequence,
-    arrow_multiplicity,
     build_tube,
     classify_label,
     cusp_quiver,
@@ -19,10 +20,9 @@ from cuspcm import (
     geometry_of,
     quiver_to_dict,
     tpq_quiver,
-    validate_cusp,
 )
 
-B1 = validate_cusp(1, [1])
+B1 = CuspGeometry(1, [1])
 G38 = geometry_of(3, 8)
 
 
@@ -153,25 +153,35 @@ def test_tpq_quiver_merges_sigma_orbits():
     assert twice == once
 
 
+@pytest.mark.parametrize("p,q", [(3, 8), (5, 5)])
+def test_tpq_single_tubes_match_cusp_tubes(p, q):
+    # A period-1 tube downstairs is the cusp tube over its base, level for
+    # level: the same arrows and the same (identity) translation.
+    geom = geometry_of(p, q)
+    quiver = tpq_quiver(geom, depth=4, max_base_rank=3)
+    singles = [t for t in quiver.tubes if t.period == 1]
+    assert singles
+    for tube in singles:
+        entries, lam = re.fullmatch(r"T\(\[(.*)\],(.*)\)", tube.id).groups()
+        seq = SSeq(geom.cusp.s, tuple(int(v) for v in entries.split(",")))
+        cusp = build_tube(geom.cusp, seq, lam, depth=4)
+        assert cusp.tubes[0].id == tube.id
+        assert len(cusp.tubes[0].members) == len(tube.members) == 4
+        level = dict(zip(cusp.tubes[0].members, tube.members))
+        members = set(tube.members)
+        assert [(level[a.src], level[a.dst]) for a in cusp.arrows] == [
+            (a.src, a.dst) for a in quiver.arrows if a.src in members
+        ]
+        assert {level[k]: level[v] for k, v in cusp.translate.items()} == {
+            k: v for k, v in quiver.translate.items() if k in members
+        }
+
+
 def test_tpq_quiver_argument_check():
     with pytest.raises(ValueError):
         tpq_quiver(G38, depth=2)
     with pytest.raises(ValueError):
         tpq_quiver(G38, depth=2, max_base_rank=2, bases=[(SSeq(2, (1, 0)), 1)])
-
-
-# --------------------------------------------------------- decorations
-
-
-def test_arrow_multiplicity_values():
-    assert arrow_multiplicity(2).at_free == 2
-    assert arrow_multiplicity(2).per_arrow_added == 0
-    assert arrow_multiplicity(4).at_free == 4
-    assert arrow_multiplicity(3) == arrow_multiplicity(3).__class__(2, 2)
-    assert arrow_multiplicity(1) == arrow_multiplicity(1).__class__(2, 1)
-    assert arrow_multiplicity(7).per_arrow_added == 8
-    with pytest.raises(ValueError):
-        arrow_multiplicity(0)
 
 
 # --------------------------------------------------------------- export

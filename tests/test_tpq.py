@@ -10,8 +10,10 @@ from cuspcm import (
     BundleTriple,
     KahnViolation,
     SSeq,
+    TpqBranch,
+    TpqFree,
     TpqKind,
-    TpqModuleLabel,
+    TpqSingle,
     apply_sigma,
     canonical_form,
     classify_label,
@@ -125,24 +127,26 @@ def test_sigma_of_module_is_an_involution(data):
 
 
 def test_label_validation():
+    with pytest.raises(TypeError):
+        TpqFree(G38, m=1)  # the free label carries no parameters
+    with pytest.raises(TypeError):
+        TpqSingle(geometry=G38, seq=SSeq(2, (1, 2)), m=1, lam=3, sign=1)
     with pytest.raises(ValueError):
-        TpqModuleLabel(geometry=G38, kind=TpqKind.FREE, m=1)
-    with pytest.raises(ValueError):
-        TpqModuleLabel(
-            geometry=G38, kind=TpqKind.SINGLE, seq=SSeq(2, (1, 0)), m=1, lam=1
+        TpqSingle(
+            geometry=G38, seq=SSeq(2, (1, 0)), m=1, lam=1
         )  # sigma-symmetric with lam=1 must split
     with pytest.raises(ValueError):
-        TpqModuleLabel(
-            geometry=G38, kind=TpqKind.SPLIT, seq=SSeq(2, (1, 2, 3, 4)), m=1,
+        TpqBranch(
+            geometry=G38, seq=SSeq(2, (1, 2, 3, 4)), m=1,
             sign=1, branch=1,
         )  # not sigma-symmetric
     with pytest.raises(ValueError):
-        TpqModuleLabel(
-            geometry=G38, kind=TpqKind.SPLIT, seq=SSeq(2, (0, 0)), m=1,
+        TpqBranch(
+            geometry=G38, seq=SSeq(2, (0, 0)), m=1,
             sign=1, branch=1,
         )  # zero sequence only splits at sign -1
-    lab = TpqModuleLabel(
-        geometry=G38, kind=TpqKind.SPLIT, seq=SSeq(2, (1, 0)), m=1, sign=-1, branch=2
+    lab = TpqBranch(
+        geometry=G38, seq=SSeq(2, (1, 0)), m=1, sign=-1, branch=2
     )
     assert str(lab) == "N2([1,0],1,-1)"
 
@@ -178,8 +182,8 @@ def test_descend_rejects_other_geometry():
 
 
 def single(seq, m, lam, geom=G38):
-    return TpqModuleLabel(
-        geometry=geom, kind=TpqKind.SINGLE, seq=SSeq(geom.cusp.s, seq), m=m,
+    return TpqSingle(
+        geometry=geom, seq=SSeq(geom.cusp.s, seq), m=m,
         lam=Fraction(lam),
     )
 
@@ -190,20 +194,20 @@ def test_iso_examples():
         G38, single((1, 2, 3, 4), 1, 5), single((1, 4, 3, 2), 1, Fraction(1, 5))
     )
     assert not tpq_iso(G38, single((1, 2), 1, 3), single((1, 2), 1, 5))
-    a = TpqModuleLabel(
-        geometry=G38, kind=TpqKind.SPLIT, seq=SSeq(2, (1, 0)), m=1, sign=-1, branch=1
+    a = TpqBranch(
+        geometry=G38, seq=SSeq(2, (1, 0)), m=1, sign=-1, branch=1
     )
-    b = TpqModuleLabel(
-        geometry=G38, kind=TpqKind.SPLIT, seq=SSeq(2, (1, 0)), m=1, sign=-1, branch=2
+    b = TpqBranch(
+        geometry=G38, seq=SSeq(2, (1, 0)), m=1, sign=-1, branch=2
     )
     assert not tpq_iso(G38, a, b)
     assert tpq_iso(G38, a, a)
 
 
 def test_iso_mixed_kinds_differ():
-    free = TpqModuleLabel(geometry=G38, kind=TpqKind.FREE)
+    free = TpqFree(geometry=G38)
     assert not tpq_iso(G38, free, single((1, 2), 1, 3))
-    assert tpq_iso(G38, free, TpqModuleLabel(geometry=G38, kind=TpqKind.FREE))
+    assert tpq_iso(G38, free, TpqFree(geometry=G38))
 
 
 @given(data=st.data())
