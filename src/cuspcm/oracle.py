@@ -15,19 +15,26 @@ of F are written down directly from the glueing data:
 The rank of the comparison map between sections upstairs and the glueing
 obstruction is rk h = dim(im f + G) - dim G, and the cohomology follows:
 h^0 = m * sum((d_i + 1)^+) - rk h and h^1 = m*rs - rk h + m * sum((d_i + 1)^-).
-Everything is exact rational arithmetic; no closed-form count is consulted,
-so this module serves as an oracle for the formulas in `cohomology`.
+
+rk h is measured in F/G.  Each glueing vector e_{ik} holds exactly one eps'
+coordinate, eps'_{ik}, with coefficient 1, so F = G + span(eps'') is a
+direct sum and modulo G each eps'_{ik} equals -(e_{ik} - eps'_{ik}).
+Substituting that into the im f generators projects them onto span(eps'')
+along G, and rk h is the rank of the projected generators.  The
+presentation is checked to have this shape before it is used.  Everything
+is exact rational arithmetic; no closed-form count is consulted, so this
+module serves as an oracle for the formulas in `cohomology`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .cohomology import BundleTriple, CohomReport, cohom_dims, delta
-from .sequences import enumerate_canonical
+from .sequences import SSeq, enumerate_canonical
 
 __all__ = [
     "PRIME",
@@ -45,6 +52,7 @@ __all__ = [
 
 PRIME = 0
 DOUBLE_PRIME = 1
+_ONE = Fraction(1)
 
 
 def coordinate_index(i: int, k: int, side: int, m: int) -> int:
@@ -82,61 +90,38 @@ def build_presentation(triple: BundleTriple) -> OracleSpace:
     rs = len(d)
     m = triple.m
     lam = triple.lam
-    one = Fraction(1)
+    one = _ONE
 
     g: list[dict[int, Fraction]] = []
-    for i in range(1, rs + 1):
-        for k in range(1, m + 1):
-            if i != rs:
-                vec = {
-                    coordinate_index(i, k, PRIME, m): one,
-                    coordinate_index(i + 1, k, DOUBLE_PRIME, m): one,
-                }
-            elif k != 1:
-                vec = {
-                    coordinate_index(rs, k, PRIME, m): one,
-                    coordinate_index(1, k, DOUBLE_PRIME, m): lam,
-                    coordinate_index(1, k - 1, DOUBLE_PRIME, m): one,
-                }
-            else:
-                vec = {
-                    coordinate_index(rs, 1, PRIME, m): one,
-                    coordinate_index(1, 1, DOUBLE_PRIME, m): lam,
-                }
-            g.append(vec)
-
     imf: list[dict[int, Fraction]] = []
-    for i in range(1, rs + 1):
-        for k in range(1, m + 1):
-            if d[i - 1] > 0:
-                imf.append({coordinate_index(i, k, PRIME, m): one})
-                imf.append({coordinate_index(i, k, DOUBLE_PRIME, m): one})
-            elif d[i - 1] == 0:
-                imf.append(
-                    {
-                        coordinate_index(i, k, PRIME, m): one,
-                        coordinate_index(i, k, DOUBLE_PRIME, m): one,
-                    }
-                )
+    for i in range(rs):
+        for k in range(m):
+            # coordinate_index(i + 1, k + 1, side, m) is at + side; written
+            # out, since this loop runs for every case of a sweep.
+            at = 2 * (i * m + k)
+            if i != rs - 1:
+                g.append({at + PRIME: one, at + 2 * m + DOUBLE_PRIME: one})
+            elif k != 0:
+                g.append({
+                    at + PRIME: one,
+                    2 * k + DOUBLE_PRIME: lam,
+                    2 * (k - 1) + DOUBLE_PRIME: one,
+                })
+            else:
+                g.append({at + PRIME: one, DOUBLE_PRIME: lam})
+            if d[i] > 0:
+                imf.append({at + PRIME: one})
+                imf.append({at + DOUBLE_PRIME: one})
+            elif d[i] == 0:
+                imf.append({at + PRIME: one, at + DOUBLE_PRIME: one})
 
     return OracleSpace(dim_f=2 * m * rs, g_basis=tuple(g), imf_basis=tuple(imf))
-
-
-def _integer_rows(vectors: Iterable[dict[int, Fraction]]) -> list[dict[int, int]]:
-    # Clearing denominators rescales each vector; spans are unchanged.
-    rows = []
-    for vec in vectors:
-        den = 1
-        for v in vec.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        rows.append({c: int(v * den) for c, v in vec.items()})
-    return rows
 
 
 def _eliminate(rows: Iterable[dict[int, int]], pivots: dict[int, dict[int, int]]) -> int:
     """Feed rows into a growing sparse echelon basis; count the independent ones.
 
-    Rows are integer vectors standing for rational vectors up to positive
+    Rows are integer vectors standing for rational vectors up to nonzero
     scale.  One reduction step replaces row by b*row - a*pivot where a and b
     are the leading coefficients, which is the exact rational elimination
     step with denominators cleared; each new pivot row is normalized by the
@@ -172,19 +157,64 @@ def _eliminate(rows: Iterable[dict[int, int]], pivots: dict[int, dict[int, int]]
     return added
 
 
-def rank_of_h(triple: BundleTriple) -> int:
-    """rk h = dim(im f + G) - dim G by exact Gaussian elimination.
+def _glueing_leads(space: OracleSpace, m_rs: int) -> dict[int, dict[int, Fraction]]:
+    """Each eps' coordinate, mapped to the one glueing vector it leads.
 
-    The glueing vectors go in first and are verified to be independent
-    (they are, for every nonzero lam), so the measured quotient rank is
-    exactly the number of im f generators that remain independent.
+    Every glueing vector must hold exactly one eps' coordinate, with
+    coefficient 1, and the m*rs vectors must lead distinct coordinates.
+    Then G meets span(eps'') in 0 and F = G + span(eps''), so F/G is
+    span(eps'') and eps'_c = -(g_c - eps'_c) modulo G.
+    """
+    lead_of: dict[int, dict[int, Fraction]] = {}
+    for g in space.g_basis:
+        lead = [c for c in g if c % 2 == PRIME]
+        if len(lead) != 1 or g[lead[0]] != 1 or lead[0] in lead_of:
+            raise ArithmeticError(
+                f"glueing vector {g} does not lead its own eps' coordinate "
+                "with coefficient 1; corrupt presentation"
+            )
+        lead_of[lead[0]] = g
+    if len(lead_of) != m_rs:
+        raise ArithmeticError(
+            f"{len(lead_of)} glueing vectors for {m_rs} eps' coordinates; "
+            "corrupt presentation"
+        )
+    return lead_of
+
+
+def rank_of_h(triple: BundleTriple) -> int:
+    """rk h = dim(im f + G) - dim G, measured in F/G by exact elimination.
+
+    F/G is span(eps''), see `_glueing_leads`.  Each im f generator is
+    projected onto it along G: every eps'_c becomes -(g_c - eps'_c), and
+    the terms are put over one denominator, read off each coefficient's
+    numerator and denominator.  That gives an integer row with at most
+    three nonzero entries, and rk h is the rank of these rows.
     """
     space = build_presentation(triple)
-    pivots: dict[int, dict[int, int]] = {}
-    dim_g = _eliminate(_integer_rows(space.g_basis), pivots)
-    if dim_g != len(space.g_basis):
-        raise ArithmeticError("glueing vectors came out dependent; corrupt presentation")
-    return _eliminate(_integer_rows(space.imf_basis), pivots)
+    lead_of = _glueing_leads(space, triple.m * len(triple.seq.entries))
+    rows = []
+    for vec in space.imf_basis:
+        terms = []  # (coordinate, numerator, denominator)
+        for c, a in vec.items():
+            g = lead_of.get(c)
+            if g is None:
+                terms.append((c, a.numerator, a.denominator))
+                continue
+            a_num, a_den = -a.numerator, a.denominator
+            for cc, v in g.items():
+                if cc != c:
+                    terms.append((cc, a_num * v.numerator, a_den * v.denominator))
+        den = lcm(*[d for _, _, d in terms])
+        row: dict[int, int] = {}
+        for cc, num, d in terms:
+            nv = row.get(cc, 0) + num * (den // d)
+            if nv:
+                row[cc] = nv
+            else:
+                row.pop(cc, None)
+        rows.append(row)
+    return _eliminate(rows, {})
 
 
 def oracle_dims(triple: BundleTriple) -> CohomReport:
@@ -248,6 +278,11 @@ class GridReport:
         )
 
 
+def _case_tag(s: int, seq: SSeq, m: int, lam: Fraction) -> str:
+    # Built only for a failing case: formatting costs about 3% of a check.
+    return f"s={s} d={seq} m={m} lam={lam}"
+
+
 def verify_grid(
     s_values: Sequence[int] = (1, 2, 3),
     rs_max: int = 6,
@@ -265,11 +300,18 @@ def verify_grid(
     rk h = m*theta(d) - delta(d, lam).  Zero tolerance throughout.
 
     Raises:
-        ValueError: for an s below 1, or a box that holds no case.
+        ValueError: for an s below 1, a repeated s, m or lam (compared as
+            Fractions, so 2 and "4/2" repeat), or a box that holds no case.
     """
     if any(s < 1 for s in s_values):
         raise ValueError(f"s must be at least 1, got {min(s_values)}")
     lams = tuple(Fraction(l) for l in lambdas)
+    for name, values in (("s", s_values), ("m", m_values), ("lambda", lams)):
+        seen: set = set()
+        for v in values:
+            if v in seen:
+                raise ValueError(f"{name}={v} is repeated in the grid box")
+            seen.add(v)
     cases = 0
     mismatches: list[str] = []
     euler: list[str] = []
@@ -286,23 +328,22 @@ def verify_grid(
                 for lam in lams:
                     triple = BundleTriple(seq, m, lam)
                     cases += 1
-                    tag = f"s={s} d={seq} m={m} lam={lam}"
                     formula = cohom_dims(triple)
                     rk = rank_of_h(triple)
                     oracle_h0 = m * pos - rk
                     oracle_h1 = m * rs - rk + m * neg
                     if formula.h0 != oracle_h0 or formula.h1 != oracle_h1:
                         mismatches.append(
-                            f"{tag}: formula ({formula.h0},{formula.h1}) "
-                            f"vs oracle ({oracle_h0},{oracle_h1})"
+                            f"{_case_tag(s, seq, m, lam)}: formula "
+                            f"({formula.h0},{formula.h1}) vs oracle ({oracle_h0},{oracle_h1})"
                         )
                     if (
                         formula.h0 - formula.h1 != m * dsum
                         or oracle_h0 - oracle_h1 != m * dsum
                     ):
-                        euler.append(tag)
+                        euler.append(_case_tag(s, seq, m, lam))
                     if rk != m * formula.theta - formula.delta:
-                        rank_id.append(f"{tag}: rk={rk}")
+                        rank_id.append(f"{_case_tag(s, seq, m, lam)}: rk={rk}")
     if cases == 0:
         raise ValueError(
             f"the grid box holds no cases: s={list(s_values)}, rs_max={rs_max}, "

@@ -77,6 +77,8 @@ BAD_GRIDS = {
     "m_max=0": "the grid box holds no cases",
     "s=9": "the grid box holds no cases",
     "m_max=x": "grid setting 'm_max' must be an integer, got 'x'",
+    "s=1,1": "s=1 is repeated in the grid box",
+    "lambdas=2,4/2": "lambda=2 is repeated in the grid box",
 }
 
 

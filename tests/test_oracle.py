@@ -1,11 +1,17 @@
-"""The linear-algebra oracle, checked against a dense textbook eliminator.
+"""The linear-algebra oracle, checked against two slower references.
 
-The package's eliminator works on sparse integer rows with gcd
-normalization; here a plain dense Gaussian elimination over Fraction is
-reimplemented from scratch and both must report the same ranks.
+The package measures rk h in F/G: it projects the im f generators along the
+glueing space G and eliminates sparse integer rows.  Two references measure
+dim(im f + G) - dim G in F instead: a plain dense Gaussian elimination over
+Fraction, reimplemented from scratch, and the earlier G-first path, which
+puts the glueing vectors into the sparse eliminator before im f.  All must
+report the same ranks.
 """
 
+import random
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,15 +19,19 @@ from hypothesis import strategies as st
 
 from cuspcm import (
     BundleTriple,
+    OracleSpace,
     SSeq,
     build_presentation,
     cohom_dims,
+    enumerate_canonical,
+    is_aperiodic,
     oracle_dims,
     rank_of_h,
     verify_formula,
     verify_grid,
 )
-from cuspcm.oracle import DOUBLE_PRIME, PRIME, coordinate_index
+from cuspcm import oracle
+from cuspcm.oracle import DOUBLE_PRIME, PRIME, _eliminate, coordinate_index
 from test_sequences import sseqs
 
 
@@ -59,6 +69,28 @@ def reference_rank_of_h(triple):
     dim_g = dense_rank(g)
     assert dim_g == len(space.g_basis)
     return dense_rank(g + imf) - dim_g
+
+
+def _integer_rows(vectors):
+    # Clearing denominators rescales each vector; spans are unchanged.
+    rows = []
+    for vec in vectors:
+        den = 1
+        for v in vec.values():
+            den = den * v.denominator // gcd(den, v.denominator)
+        rows.append({c: int(v * den) for c, v in vec.items()})
+    return rows
+
+
+def g_first_rank_of_h(triple):
+    """dim(im f + G) - dim G in F: the glueing vectors are eliminated first
+    and checked to be independent, then the im f generators that remain
+    independent are counted."""
+    space = build_presentation(triple)
+    pivots = {}
+    dim_g = _eliminate(_integer_rows(space.g_basis), pivots)
+    assert dim_g == len(space.g_basis), "glueing vectors came out dependent"
+    return _eliminate(_integer_rows(space.imf_basis), pivots)
 
 
 def triple(s, entries, m=1, lam=2):
@@ -133,6 +165,93 @@ def test_rank_matches_dense_reference(seq, m, lam):
     assert rank_of_h(t) == reference_rank_of_h(t)
 
 
+def box_triples(rs_max):
+    """Every case of the default `verify_grid` box, in sweep order."""
+    for s in (1, 2, 3):
+        for seq in enumerate_canonical(s, rs_max // s, -3, 3):
+            for m in (1, 2, 3):
+                for lam in (1, -1, 2, -2, Fraction(1, 2)):
+                    yield BundleTriple(seq, m, Fraction(lam))
+
+
+def test_rank_matches_g_first_elimination_on_the_box():
+    cases = 0
+    for t in box_triples(rs_max=5):
+        assert rank_of_h(t) == g_first_rank_of_h(t), t
+        cases += 1
+    assert cases == 84_840
+
+
+def _corrupt_presentation(monkeypatch, corrupt):
+    # rank_of_h reads the presentation through the module global.
+    real = oracle.build_presentation
+
+    def bad(t):
+        space = real(t)
+        g = [dict(vec) for vec in space.g_basis]
+        corrupt(g)
+        return OracleSpace(space.dim_f, tuple(g), space.imf_basis)
+
+    monkeypatch.setattr(oracle, "build_presentation", bad)
+
+
+def _share_lead(g):
+    lead = coordinate_index(1, 1, PRIME, 1)
+    del g[1][coordinate_index(2, 1, PRIME, 1)]
+    g[1][lead] = Fraction(1)
+
+
+def _scale_lead(g):
+    g[0][coordinate_index(1, 1, PRIME, 1)] = Fraction(2)
+
+
+def _two_leads(g):
+    g[0][coordinate_index(2, 1, PRIME, 1)] = Fraction(1)
+
+
+def _drop_vector(g):
+    del g[-1]
+
+
+@pytest.mark.parametrize("corrupt", [_share_lead, _scale_lead, _two_leads, _drop_vector])
+def test_rank_rejects_a_corrupt_glueing_space(monkeypatch, corrupt):
+    t = triple(1, (0, 1), lam=3)
+    assert rank_of_h(t) == 2
+    _corrupt_presentation(monkeypatch, corrupt)
+    with pytest.raises(ArithmeticError, match="corrupt presentation"):
+        rank_of_h(t)
+
+
+def random_triple(rng):
+    """An aperiodic sequence with rs <= 40, m <= 6 and lam = p/q with
+    |p|, |q| <= 10**6."""
+    s = rng.randint(1, 4)
+    r = rng.randint(1, 40 // s)
+    while True:
+        seq = SSeq(s, tuple(rng.randint(-3, 3) for _ in range(r * s)))
+        if is_aperiodic(seq):
+            break
+    p = rng.choice((-1, 1)) * rng.randint(1, 10**6)
+    q = rng.randint(1, 10**6)
+    return BundleTriple(seq, rng.randint(1, 6), Fraction(p, q))
+
+
+def test_formula_matches_oracle_beyond_the_box():
+    rng = random.Random(20020)
+    start = time.perf_counter()
+    for _ in range(2_000):
+        t = random_triple(rng)
+        f = cohom_dims(t)
+        o = oracle_dims(t)
+        rk = rank_of_h(t)
+        assert (f.h0, f.h1) == (o.h0, o.h1), t
+        assert f.h0 - f.h1 == t.m * sum(t.seq.entries), t
+        assert rk == t.m * f.theta - f.delta, t
+    # About 1.5 s on a 2-vCPU VM; the bound catches a blow-up in coefficient
+    # size or elimination work, not host noise.
+    assert time.perf_counter() - start < 30
+
+
 @given(seq=sseqs(max_s=2, max_r=2), m=st.integers(1, 2))
 def test_rank_depends_only_on_the_lam_class(seq, m):
     away = {rank_of_h(BundleTriple(seq, m, lam)) for lam in (2, -1, Fraction(1, 3))}
@@ -196,6 +315,21 @@ def test_verify_grid_skips_oversized_s():
 def test_verify_grid_rejects_s_below_one(s):
     with pytest.raises(ValueError, match=f"s must be at least 1, got {s}"):
         verify_grid(s_values=(1, s), rs_max=2, lo=0, hi=1, m_values=(1,), lambdas=(2,))
+
+
+@pytest.mark.parametrize(
+    "values, repeat",
+    [
+        ({"s_values": (1, 2, 1)}, "s=1"),
+        ({"m_values": (1, 1)}, "m=1"),
+        ({"lambdas": (2, "4/2")}, "lambda=2"),
+        ({"lambdas": (Fraction(1, 2), "2/4")}, "lambda=1/2"),
+    ],
+)
+def test_verify_grid_rejects_a_repeated_value(values, repeat):
+    small = {"rs_max": 2, "lo": 0, "hi": 1, "m_values": (1,), "lambdas": (2,)}
+    with pytest.raises(ValueError, match=f"{repeat} is repeated in the grid box"):
+        verify_grid(**{**small, **values})
 
 
 @pytest.mark.parametrize(
