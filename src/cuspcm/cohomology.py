@@ -43,8 +43,8 @@ class KahnViolation(ValueError):
 class BundleTriple:
     """Parameters (d, m, lam) of an indecomposable bundle on the cycle.
 
-    m is a positive multiplicity and lam a nonzero exact rational; ints and
-    strings accepted by Fraction are coerced.  Aperiodicity of the sequence
+    m is a positive int multiplicity and lam a nonzero exact rational; ints
+    and strings accepted by Fraction are coerced.  Aperiodicity of the sequence
     is not required here: it is a classification-level constraint, enforced
     where labels are built.
     """
@@ -54,6 +54,8 @@ class BundleTriple:
     lam: Fraction
 
     def __post_init__(self) -> None:
+        if not isinstance(self.m, int):
+            raise ValueError(f"multiplicity must be an integer, got {self.m!r}")
         if self.m < 1:
             raise ValueError(f"multiplicity must be positive, got {self.m}")
         lam = Fraction(self.lam)

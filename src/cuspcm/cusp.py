@@ -131,8 +131,18 @@ def classify_label(triple: BundleTriple, geom: CuspGeometry) -> CMModuleLabel:
 
 
 def _twist_candidates(geom: CuspGeometry, r: int, slack: int) -> list[tuple[int, ...]]:
-    """Degree tuples d >= 0 of length r*s whose twist v = d - B^r has
-    exactly slack global sections at m = 1 and generic lam.
+    """Block prenecklaces d >= 0 of length r*s, in lexicographic order, whose
+    twist v = d - B^r has exactly slack global sections at m = 1 and
+    generic lam.
+
+    A block prenecklace is a prefix of a word that is least among its
+    rotations by multiples of s; every canonical aperiodic sequence is one,
+    and the caller drops the rest.  The walk is the Fredricksen-Kessler-
+    Maiorana recursion (Cattell, Ruskey, Sawada, Serra and Miers 2000) over
+    the alphabet of s-blocks: p is the period of the prefix, a multiple of
+    s, and while the block being filled still equals the block p back,
+    entry i is at least d[i - p].  B^r has period s, so that bound reads
+    v[i] >= v[i - p] on the twist.
 
     The section count splits over the maximal cyclic runs of non-negative
     entries of v: a run contributes its sum, minus one unless it is all
@@ -141,8 +151,9 @@ def _twist_candidates(geom: CuspGeometry, r: int, slack: int) -> list[tuple[int,
     count is a lower bound and prunes the search.  The run through
     position 0 is settled last, when its wrap status is known.
     """
+    s = geom.s
     b = geom.b * r
-    n = geom.s * r
+    n = s * r
     # a positive entry v_i costs at least v_i - 1 sections
     vmax = slack + 1
     buf = [0] * n
@@ -153,6 +164,8 @@ def _twist_candidates(geom: CuspGeometry, r: int, slack: int) -> list[tuple[int,
 
     def rec(
         i: int,
+        p: int,
+        gt: bool,
         closed: int,
         cur_sum: int,
         cur_pos: bool,
@@ -162,6 +175,9 @@ def _twist_candidates(geom: CuspGeometry, r: int, slack: int) -> list[tuple[int,
         head_pos: bool,
         head_any: bool,
     ) -> None:
+        # gt: the block being filled already exceeds the block p back
+        if gt and i and i % s == 0:
+            p, gt = i, False
         if i == n:
             if not seen_neg:
                 h = head_sum
@@ -177,25 +193,31 @@ def _twist_candidates(geom: CuspGeometry, r: int, slack: int) -> list[tuple[int,
                 out.append(tuple(buf))
             return
         head_lb = close(head_sum, head_pos) if head_any else 0
-        for v in range(-b[i], vmax + 1):
+        first = -b[i] if gt else buf[i - p] - b[i]
+        for v in range(first, vmax + 1):
             buf[i] = v + b[i]
+            up = gt or v > first
             if v < 0:
                 done = closed + (close(cur_sum, cur_pos) if cur_open else 0)
                 if done + head_lb > slack:
                     continue
-                rec(i + 1, done, 0, False, False, True, head_sum, head_pos, head_any)
+                rec(i + 1, p, up, done, 0, False, False, True, head_sum, head_pos,
+                    head_any)
             elif not seen_neg:
                 hs, hp = head_sum + v, head_pos or v > 0
                 if close(hs, hp) > slack:
                     break
-                rec(i + 1, closed, 0, False, False, False, hs, hp, True)
+                rec(i + 1, p, up, closed, 0, False, False, False, hs, hp, True)
             else:
                 cs, cp = cur_sum + v, cur_pos or v > 0
                 if closed + close(cs, cp) + head_lb > slack:
                     break
-                rec(i + 1, closed, cs, cp, True, True, head_sum, head_pos, head_any)
+                rec(i + 1, p, up, closed, cs, cp, True, True, head_sum, head_pos,
+                    head_any)
 
-    rec(0, 0, 0, False, False, False, 0, False, False)
+    # the first block has nothing to exceed; it fixes p = s when it ends
+    rec(0, 0, True, 0, 0, False, False, False, 0, False, False)
+    del rec  # a self-referencing closure: free it now, not at a full collection
     return out
 
 

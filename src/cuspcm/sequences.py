@@ -12,7 +12,6 @@ enumeration of canonical representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 __all__ = [
     "SSeq",
@@ -76,14 +75,17 @@ def is_aperiodic(seq: SSeq) -> bool:
 
 
 def canonical_form(seq: SSeq) -> SSeq:
-    """The lexicographically least among the r rotations of the sequence."""
+    """The lexicographically least among the r rotations of the sequence.
+
+    A sequence that is already least is returned as it is, not copied.
+    """
     e = seq.entries
     best = e
     for cut in range(seq.s, len(e), seq.s):
         rot = e[cut:] + e[:cut]
         if rot < best:
             best = rot
-    return SSeq(seq.s, best)
+    return seq if best is e else SSeq(seq.s, best)
 
 
 def enumerate_canonical(s: int, max_r: int, lo: int, hi: int) -> list[SSeq]:
@@ -92,8 +94,14 @@ def enumerate_canonical(s: int, max_r: int, lo: int, hi: int) -> list[SSeq]:
     Canonical means equal to its own canonical form, so each rotation class
     appears exactly once.  The result is ordered by (length, entries).
 
+    These are the Lyndon words over the alphabet of s-blocks.  They come
+    from the Fredricksen-Kessler-Maiorana algorithm (Cattell, Ruskey,
+    Sawada, Serra and Miers 2000), which walks the block prenecklaces in
+    lexicographic order: p is the period of the word, a multiple of s,
+    and a prenecklace of length n is Lyndon exactly when p == n.
+
     Raises:
-        ValueError: for an empty entry range (lo > hi) or max_r < 1.
+        ValueError: for s < 1, an empty entry range (lo > hi) or max_r < 1.
     """
     if s < 1:
         raise ValueError(f"component count must be positive, got {s}")
@@ -102,10 +110,21 @@ def enumerate_canonical(s: int, max_r: int, lo: int, hi: int) -> list[SSeq]:
     if lo > hi:
         raise ValueError(f"empty entry range: lo={lo} is greater than hi={hi}")
     found: list[SSeq] = []
-    values = range(lo, hi + 1)
-    for r in range(1, max_r + 1):
-        for entries in product(values, repeat=r * s):
-            seq = SSeq(s, entries)
-            if is_aperiodic(seq) and canonical_form(seq).entries == entries:
-                found.append(seq)
+    for n in range(s, max_r * s + 1, s):
+        a = [lo] * n
+        p = s  # the period of a, a multiple of s
+        while True:
+            if p == n:
+                found.append(SSeq(s, tuple(a)))
+            # the next prenecklace: raise the last entry below hi, fill the
+            # rest of its block with lo, then repeat the prefix up to there
+            i = n - 1
+            while i >= 0 and a[i] == hi:
+                i -= 1
+            if i < 0:
+                break
+            a[i] += 1
+            p = (i // s + 1) * s
+            head = a[: i + 1] + [lo] * (p - i - 1)
+            a = (head * (n // p + 1))[:n]
     return found

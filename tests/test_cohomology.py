@@ -44,6 +44,12 @@ def test_bundle_triple_validation():
     assert triple(1, (0,), lam="3/2").lam == Fraction(3, 2)
 
 
+@pytest.mark.parametrize("m", [1.5, 2.0, "2", Fraction(2), None])
+def test_bundle_triple_rejects_a_non_integer_multiplicity(m):
+    with pytest.raises(ValueError, match="multiplicity must be an integer"):
+        BundleTriple(SSeq(1, (1,)), m, 2)
+
+
 def test_cusp_geometry_validation():
     assert CuspGeometry(1, (1,)).b_sequence == SSeq(1, (1,))
     assert CuspGeometry(3, (1, 0, 0)).b == (1, 0, 0)

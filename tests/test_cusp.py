@@ -2,14 +2,18 @@
 
 The enumeration is cross-checked against a deliberately dumber search:
 iterate (m, sequence) the other way around under the coarser bound
-sum(d) <= rank/m + r*sum(b) and keep whatever has the right rank.
+sum(d) <= rank/m + r*sum(b) and keep whatever has the right rank.  The
+prenecklace walk of the candidate search is cross-checked against the
+earlier search over every word, which it replaced.
 """
 
+import gc
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from cuspcm import cusp
 from cuspcm import (
     BundleTriple,
     CuspGeometry,
@@ -44,6 +48,71 @@ def brute_families(geom, rank):
                 if module_rank(BundleTriple(seq, m, Fraction(7)), geom) == rank:
                     found.append((entries, m))
     return found
+
+
+def reference_twist_candidates(geom, r, slack):
+    """Every degree tuple d >= 0 of length r*s whose twist d - B^r has
+    exactly slack sections at m = 1, rotations and periodic words included,
+    in lexicographic order: the candidate search before it walked only
+    block prenecklaces."""
+    b = geom.b * r
+    n = geom.s * r
+    vmax = slack + 1
+    buf = [0] * n
+    out = []
+
+    def close(sigma, pos):
+        return sigma - 1 if pos else 0
+
+    def rec(i, closed, cur_sum, cur_pos, cur_open, seen_neg, head_sum, head_pos,
+            head_any):
+        if i == n:
+            if not seen_neg:
+                h = head_sum
+            elif cur_open and head_any:
+                h = closed + close(cur_sum + head_sum, cur_pos or head_pos)
+            else:
+                h = closed
+                if cur_open:
+                    h += close(cur_sum, cur_pos)
+                if head_any:
+                    h += close(head_sum, head_pos)
+            if h == slack:
+                out.append(tuple(buf))
+            return
+        head_lb = close(head_sum, head_pos) if head_any else 0
+        for v in range(-b[i], vmax + 1):
+            buf[i] = v + b[i]
+            if v < 0:
+                done = closed + (close(cur_sum, cur_pos) if cur_open else 0)
+                if done + head_lb > slack:
+                    continue
+                rec(i + 1, done, 0, False, False, True, head_sum, head_pos, head_any)
+            elif not seen_neg:
+                hs, hp = head_sum + v, head_pos or v > 0
+                if close(hs, hp) > slack:
+                    break
+                rec(i + 1, closed, 0, False, False, False, hs, hp, True)
+            else:
+                cs, cp = cur_sum + v, cur_pos or v > 0
+                if closed + close(cs, cp) + head_lb > slack:
+                    break
+                rec(i + 1, closed, cs, cp, True, True, head_sum, head_pos, head_any)
+
+    rec(0, 0, 0, False, False, False, 0, False, False)
+    return out
+
+
+def is_block_prenecklace(entries, s):
+    """True when every suffix starting at a block boundary is at least the
+    prefix of the same length: exactly the prefixes of words that are least
+    among their rotations by multiples of s."""
+    n = len(entries)
+    return all(entries[c:] >= entries[: n - c] for c in range(s, n, s))
+
+
+# The benchmark's growth tables: (b, largest rank).
+GROWTH_BOXES = [((1,), 9), ((2,), 7), ((1, 0), 6), ((1, 1, 0), 4)]
 
 
 # --------------------------------------------------------- validation
@@ -164,3 +233,34 @@ def test_family_counts_spot_values():
 def test_family_counts_rejects_bad_bound():
     with pytest.raises(ValueError):
         family_counts(B1, 0)
+
+
+# ------------------------------------------------ prenecklace candidates
+
+
+@pytest.mark.parametrize("b,r_max", GROWTH_BOXES, ids=str)
+def test_candidates_are_the_reference_prenecklaces(b, r_max):
+    geom = CuspGeometry(len(b), b)
+    for r in range(1, r_max + 1):
+        for slack in range(r_max - r + 1):
+            every = reference_twist_candidates(geom, r, slack)
+            want = [e for e in every if is_block_prenecklace(e, geom.s)]
+            assert cusp._twist_candidates(geom, r, slack) == want, (r, slack)
+
+
+@pytest.mark.parametrize("b,r_max", GROWTH_BOXES + [((1, 1, 0), 5)], ids=str)
+def test_enumerate_rank_matches_the_reference_search(b, r_max, monkeypatch):
+    geom = CuspGeometry(len(b), b)
+    got = [enumerate_rank(geom, rank) for rank in range(1, r_max + 1)]
+    monkeypatch.setattr(cusp, "_twist_candidates", reference_twist_candidates)
+    assert got == [enumerate_rank(geom, rank) for rank in range(1, r_max + 1)]
+
+
+def test_enumerate_rank_leaves_no_garbage_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_rank(CuspGeometry(2, [1, 0]), 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -4,6 +4,7 @@ The independent reference here is a brute-force model: materialize all r
 rotations of a sequence and take set minima / dedup directly.
 """
 
+import gc
 from itertools import product
 
 import pytest
@@ -126,6 +127,13 @@ def test_canonical_constant_on_orbits(seq, k):
     assert canon.entries == brute_canonical(seq.s, seq.entries)
 
 
+def test_canonical_returns_a_least_sequence_itself():
+    least = SSeq(2, (1, 2, 3, 4))
+    assert canonical_form(least) is least
+    rotated = SSeq(2, (3, 4, 1, 2))
+    assert canonical_form(rotated) is not rotated
+
+
 # -------------------------------------------------- enumerate_canonical
 
 
@@ -142,6 +150,8 @@ def test_enumerate_examples():
         (1, 1),
     ]
     assert [q.entries for q in enumerate_canonical(1, 1, 5, 5)] == [(5,)]
+    # longer than the default recursion limit: one value leaves one word
+    assert [q.entries for q in enumerate_canonical(1, 1500, 5, 5)] == [(5,)]
 
 
 def test_enumerate_rejects_bad_ranges():
@@ -155,12 +165,27 @@ def test_enumerate_rejects_bad_ranges():
 
 @pytest.mark.parametrize(
     "s,max_r,lo,hi",
-    [(1, 3, 0, 2), (1, 3, -1, 1), (2, 2, 0, 1), (2, 3, -1, 0), (3, 2, 0, 1)],
+    [
+        (1, 3, 0, 2), (1, 3, -1, 1), (2, 2, 0, 1), (2, 3, -1, 0), (3, 2, 0, 1),
+        (1, 6, 0, 2), (2, 3, 0, 2), (4, 2, -1, 0),
+    ],
 )
 def test_enumerate_matches_brute_force(s, max_r, lo, hi):
     got = [q.entries for q in enumerate_canonical(s, max_r, lo, hi)]
     assert got == brute_enumerate(s, max_r, lo, hi)
     assert len(set(got)) == len(got)
+
+
+def test_enumerate_leaves_no_garbage_cycle():
+    # A cycle would keep each call's state alive until a full collection,
+    # so a long sweep's memory would grow with the number of calls.
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_canonical(2, 3, 0, 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=30)
