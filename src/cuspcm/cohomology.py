@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .sequences import SSeq
 
@@ -54,11 +55,11 @@ class BundleTriple:
     lam: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int):
+        if type(self.m) is not int:  # bool is an int subclass: rejected too
             raise ValueError(f"multiplicity must be an integer, got {self.m!r}")
         if self.m < 1:
             raise ValueError(f"multiplicity must be positive, got {self.m}")
-        lam = Fraction(self.lam)
+        lam = self.lam if type(self.lam) is Fraction else Fraction(self.lam)
         if lam == 0:
             raise ValueError("lam must be a nonzero rational")
         object.__setattr__(self, "lam", lam)
@@ -84,7 +85,7 @@ class CuspGeometry:
             raise ValueError(f"component count must be positive, got {self.s}")
         if len(b) != self.s:
             raise ValueError(f"expected {self.s} weights, got {len(b)}")
-        if any(not isinstance(w, int) for w in b):
+        if any(type(w) is not int for w in b):
             raise ValueError("weights must be integers")
         if self.s == 1:
             if b[0] < 1:
@@ -137,14 +138,37 @@ def positive_parts(seq: SSeq) -> list[tuple[int, int]]:
 def theta(seq: SSeq) -> int:
     """Sum over positive parts: a full-cycle or all-zero run counts its
     length, every other run counts length + 1."""
-    e = seq.entries
+    return _theta(seq.entries)
+
+
+def _theta(e: Sequence[int]) -> int:
+    # theta of the degrees e: the non-negative entries, plus one for each
+    # run short of the whole cycle that holds a positive entry.  Walking
+    # from just after a negative entry ends every run inside the walk.
     n = len(e)
+    cut = next((i for i, v in enumerate(e) if v < 0), None)
+    if cut is None:
+        return n
     total = 0
-    for start, length in positive_parts(seq):
-        whole = length == n
-        zero = all(e[(start + j) % n] == 0 for j in range(length))
-        total += length if whole or zero else length + 1
+    positive = False
+    for v in e[cut + 1:] + e[:cut + 1]:
+        if v < 0:
+            total += positive
+            positive = False
+        else:
+            total += 1
+            positive = positive or v > 0
     return total
+
+
+def _dims(e: Sequence[int], m: int, lam: Fraction) -> tuple[int, int, int, int]:
+    # theta, delta, h0 and h1 of the bundle with degrees e, multiplicity m
+    # and scalar lam: the closed form of cohom_dims.
+    th = _theta(e)
+    de = 1 if lam == 1 and not any(e) else 0
+    pos = sum(v + 1 for v in e if v >= 0)
+    neg = sum(-1 - v for v in e if v < -1)
+    return th, de, m * (pos - th) + de, m * (neg + len(e) - th) + de
 
 
 def delta(seq: SSeq, lam: Fraction | int | str) -> int:
@@ -160,18 +184,7 @@ def cohom_dims(triple: BundleTriple) -> CohomReport:
     h0 = m * (sum of (d_i + 1)^+ - theta) + delta and
     h1 = m * (sum of (d_i + 1)^- + r*s - theta) + delta.
     """
-    d = triple.seq
-    n = len(d.entries)
-    th = theta(d)
-    de = delta(d, triple.lam)
-    pos = sum(v + 1 for v in d.entries if v + 1 > 0)
-    neg = sum(-(v + 1) for v in d.entries if v + 1 < 0)
-    return CohomReport(
-        theta=th,
-        delta=de,
-        h0=triple.m * (pos - th) + de,
-        h1=triple.m * (neg + n - th) + de,
-    )
+    return CohomReport(*_dims(triple.seq.entries, triple.m, triple.lam))
 
 
 def kahn_condition(triple: BundleTriple) -> bool:
@@ -181,9 +194,9 @@ def kahn_condition(triple: BundleTriple) -> bool:
     identically zero with lam != 1.
     """
     e = triple.seq.entries
-    if any(v < 0 for v in e):
+    if min(e) < 0:
         return False
-    if any(v > 0 for v in e):
+    if max(e) > 0:
         return True
     return triple.lam != 1
 
@@ -198,12 +211,15 @@ def kahn_violation(triple: BundleTriple) -> KahnViolation:
 
 def twist_by_cycle(seq: SSeq, geom: CuspGeometry) -> SSeq:
     """Subtract one copy of the weights b from every walk of the cycle."""
+    return SSeq(seq.s, tuple(_twist(seq, geom)))
+
+
+def _twist(seq: SSeq, geom: CuspGeometry) -> list[int]:
     if seq.s != geom.s:
         raise ValueError(
             f"sequence has s={seq.s} but the geometry has s={geom.s}"
         )
-    b = geom.b
-    return SSeq(seq.s, tuple(v - b[i % seq.s] for i, v in enumerate(seq.entries)))
+    return [v - w for v, w in zip(seq.entries, geom.b * seq.r)]
 
 
 def n_global(triple: BundleTriple, geom: CuspGeometry) -> int:
@@ -217,10 +233,16 @@ def n_global(triple: BundleTriple, geom: CuspGeometry) -> int:
     """
     if not kahn_condition(triple):
         raise kahn_violation(triple)
-    twisted = twist_by_cycle(triple.seq, geom)
-    return cohom_dims(BundleTriple(twisted, triple.m, triple.lam)).h0
+    return _dims(_twist(triple.seq, geom), triple.m, triple.lam)[2]
 
 
 def module_rank(triple: BundleTriple, geom: CuspGeometry) -> int:
-    """Rank of the CM module attached to the triple: m*r + n_global."""
+    """Rank of the CM module attached to the triple: m*r + n_global.
+
+    The rank is affine in m along the tube of (seq, lam):
+    m*(r + c) + [seq = B and lam = 1], where c is the section count of the
+    twist at m = 1 and generic lam.  The cusp's tube code derives the other
+    levels of a tube from one checked label by that rule; this per-level
+    count is its reference.
+    """
     return triple.m * triple.seq.r + n_global(triple, geom)

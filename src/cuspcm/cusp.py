@@ -130,6 +130,19 @@ def classify_label(triple: BundleTriple, geom: CuspGeometry) -> CMModuleLabel:
     return CMModuleLabel(geometry=geom, triple=canon, rank=module_rank(canon, geom))
 
 
+def _tube_level(label: CMModuleLabel, m: int) -> CMModuleLabel:
+    # Level m of the tube through a label that classify_label built: the
+    # same canonical sequence and lam object, no check re-run.  The rank is
+    # affine in m, m*(r + c) + j with j = 1 only over (B, 1).
+    t = label.triple
+    j = 1 if t.lam == 1 and t.seq.entries == label.geometry.b else 0
+    return CMModuleLabel(
+        geometry=label.geometry,
+        triple=BundleTriple(t.seq, m, t.lam),
+        rank=(label.rank - j) // t.m * m + j,
+    )
+
+
 def _twist_candidates(geom: CuspGeometry, r: int, slack: int) -> list[tuple[int, ...]]:
     """Block prenecklaces d >= 0 of length r*s, in lexicographic order, whose
     twist v = d - B^r has exactly slack global sections at m = 1 and

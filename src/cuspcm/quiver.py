@@ -24,6 +24,7 @@ from .cohomology import BundleTriple, CuspGeometry
 from .cusp import (
     CMModuleLabel,
     LambdaBase,
+    _tube_level,
     classify_label,
     enumerate_rank,
     free_label,
@@ -99,6 +100,11 @@ def ar_sequence(geom: CuspGeometry, label: CMModuleLabel) -> ARSequence:
     the bottom level, and with the free module joining M(B, 2, 1) for the
     bottom of the special tube.
 
+    The label is taken as classify_label built it, already checked.  The
+    middle terms are derived from it, not classified again: they keep its
+    canonical sequence and lam, and the rank is affine in m along the tube,
+    m*(r + c) + [seq = B and lam = 1].
+
     Raises:
         ValueError: for the free module, which admits no such sequence.
     """
@@ -107,16 +113,14 @@ def ar_sequence(geom: CuspGeometry, label: CMModuleLabel) -> ARSequence:
     if label.is_free:
         raise ValueError("the free module is not the end of an almost split sequence")
     t = label.triple
-
-    def level(m: int) -> CMModuleLabel:
-        return classify_label(BundleTriple(t.seq, m, t.lam), geom)
-
     if t.m > 1:
-        middle: tuple[CMModuleLabel, ...] = (level(t.m + 1), level(t.m - 1))
-    elif t.seq == geom.b_sequence and t.lam == 1:
-        middle = (free_label(geom), level(2))
+        middle: tuple[CMModuleLabel, ...] = (
+            _tube_level(label, t.m + 1), _tube_level(label, t.m - 1),
+        )
+    elif t.seq.entries == geom.b and t.lam == 1:
+        middle = (free_label(geom), _tube_level(label, 2))
     else:
-        middle = (level(2),)
+        middle = (_tube_level(label, 2),)
     return ARSequence(left=label, middle=middle, right=label)
 
 
@@ -128,13 +132,16 @@ def build_tube(
     Consecutive levels are joined by one arrow each way.  Over (B, 1) the
     free module is glued to the bottom level and listed as a member of the
     tube; it is excluded from the translation.
+
+    Only the bottom level is classified.  Levels 2..depth are derived from
+    that checked label: the rank is affine in m along the tube,
+    m*(r + c) + [seq = B and lam = 1].
     """
     if depth < 1:
         raise ValueError(f"depth must be positive, got {depth}")
     lam = Fraction(lam)
-    labels = [
-        classify_label(BundleTriple(seq, m, lam), geom) for m in range(1, depth + 1)
-    ]
+    bottom = classify_label(BundleTriple(seq, 1, lam), geom)
+    labels = [bottom] + [_tube_level(bottom, m) for m in range(2, depth + 1)]
     nodes = [QuiverNode(id=str(lab), kind="module", rank=lab.rank) for lab in labels]
     if labels[0].triple.seq == geom.b_sequence and lam == 1:
         a = free_label(geom)
@@ -222,20 +229,24 @@ def cusp_quiver(
 def _tpq_tube(
     geom: TpqGeometry, seq: SSeq, lam: Fraction, depth: int
 ) -> ARQuiver:
-    # One curve-side tube over the sigma-orbit of (seq, lam).
-    split = is_sigma_symmetric(geom, seq) and lam in (1, -1)
+    # One curve-side tube over the sigma-orbit of (seq, lam).  The base is
+    # checked once, as a label at m = 1; every level's node id is then
+    # formatted from it as str() of the label at that level would be.
+    split = lam in (1, -1) and is_sigma_symmetric(geom, seq)
     if not split:
+        single = TpqSingle(geom, seq, 1, lam)
         nodes = [
-            QuiverNode(id=str(TpqSingle(geom, seq, m, lam)), kind="single")
+            QuiverNode(id=f"N({single.seq},{m},{single.lam})", kind="single")
             for m in range(1, depth + 1)
         ]
         return _period_one_tube(f"T({seq},{lam})", nodes)
 
     sign = 1 if lam == 1 else -1
     special = seq == geom.cusp.b_sequence and sign == 1
+    text = str(TpqBranch(geom, seq, 1, sign, 1).seq)
 
     def branch_id(branch: int, m: int) -> str:
-        return str(TpqBranch(geom, seq, m, sign, branch))
+        return f"N{branch}({text},{m},{sign})"
 
     nodes = []
     members: list[str] = []
@@ -330,8 +341,8 @@ def export_dot(quiver: ARQuiver) -> str:
             lines.append(f'  "{node.id}" [label="{text}"];')
     for arrow in quiver.arrows:
         lines.append(f'  "{arrow.src}" -> "{arrow.dst}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += ("}", "")  # the trailing newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def quiver_to_dict(quiver: ARQuiver) -> dict:

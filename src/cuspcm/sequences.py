@@ -41,7 +41,7 @@ class SSeq:
         entries = tuple(self.entries)
         if not entries:
             raise ValueError("sequence must be nonempty")
-        if any(not isinstance(e, int) for e in entries):
+        if set(map(type, entries)) != {int}:  # exactly int: bool is rejected
             raise ValueError("sequence entries must be integers")
         if len(entries) % self.s:
             raise ValueError(

@@ -19,7 +19,7 @@ from typing import ClassVar
 
 from .cohomology import BundleTriple, CuspGeometry, kahn_condition, kahn_violation
 from .cusp import CMModuleLabel
-from .sequences import SSeq, canonical_form, is_aperiodic, shift_by
+from .sequences import SSeq, canonical_form, is_aperiodic
 
 __all__ = [
     "TpqCase",
@@ -117,8 +117,9 @@ def apply_sigma(geom: TpqGeometry, seq: SSeq) -> SSeq:
 
 def is_sigma_symmetric(geom: TpqGeometry, seq: SSeq) -> bool:
     """True when the reflected sequence is a rotation of the original."""
-    reflected = apply_sigma(geom, seq)
-    return any(reflected == shift_by(seq, k) for k in range(seq.r))
+    reflected = apply_sigma(geom, seq).entries
+    e = seq.entries
+    return any(reflected == e[cut:] + e[:cut] for cut in range(0, len(e), seq.s))
 
 
 def sigma_of_module(geom: TpqGeometry, triple: BundleTriple) -> BundleTriple:
@@ -180,7 +181,7 @@ class TpqSingle:
     kind: ClassVar[TpqKind] = TpqKind.SINGLE
 
     def __post_init__(self) -> None:
-        lam = Fraction(self.lam)
+        lam = self.lam if type(self.lam) is Fraction else Fraction(self.lam)
         if lam == 0:
             raise ValueError("lam must be a nonzero rational")
         seq = _module_seq(self.geometry, self.seq, self.m, lam)

@@ -8,7 +8,7 @@ oracle (see test_oracle / test_acceptance for the systematic sweeps).
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuspcm import (
@@ -21,6 +21,7 @@ from cuspcm import (
     kahn_condition,
     module_rank,
     n_global,
+    oracle_dims,
     positive_parts,
     shift_by,
     theta,
@@ -44,10 +45,21 @@ def test_bundle_triple_validation():
     assert triple(1, (0,), lam="3/2").lam == Fraction(3, 2)
 
 
-@pytest.mark.parametrize("m", [1.5, 2.0, "2", Fraction(2), None])
+@pytest.mark.parametrize("m", [1.5, 2.0, "2", Fraction(2), None, True])
 def test_bundle_triple_rejects_a_non_integer_multiplicity(m):
     with pytest.raises(ValueError, match="multiplicity must be an integer"):
         BundleTriple(SSeq(1, (1,)), m, 2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: SSeq(1, (True, False)), lambda: CuspGeometry(1, (True,))],
+    ids=["entries", "weights"],
+)
+def test_the_value_layer_rejects_bool_for_int(make):
+    # bool is an int subclass; True would print as "True" inside a label.
+    with pytest.raises(ValueError, match="integers"):
+        make()
 
 
 def test_cusp_geometry_validation():
@@ -98,6 +110,23 @@ def test_parts_partition_the_nonnegative_positions(seq):
             assert pos not in covered
             covered.add(pos)
     assert covered == {i for i, v in enumerate(seq.entries) if v >= 0}
+
+
+def reference_theta(seq):
+    # theta from its definition, run by run over positive_parts
+    e = seq.entries
+    n = len(e)
+    total = 0
+    for start, length in positive_parts(seq):
+        whole = length == n
+        zero = all(e[(start + j) % n] == 0 for j in range(length))
+        total += length if whole or zero else length + 1
+    return total
+
+
+@given(seq=sseqs())
+def test_theta_matches_the_run_by_run_definition(seq):
+    assert theta(seq) == reference_theta(seq)
 
 
 @given(seq=sseqs())
@@ -192,15 +221,42 @@ def test_module_rank_examples():
     assert module_rank(triple(1, (2,), m=3, lam=7), B1) == 6
 
 
-@settings(max_examples=60)
-@given(seq=sseqs(max_s=2, lo=0, hi=3), m=st.integers(1, 3))
-def test_n_global_is_h0_of_the_twist(seq, m):
-    geom = CuspGeometry(seq.s, (1,) + (0,) * (seq.s - 1))
-    t = BundleTriple(seq, m, Fraction(2))
+# The criterion-05 geometries and scalars, 1 among them for the jump over B.
+TUBE_GEOMETRIES = [(1,), (2,), (1, 0), (1, 1, 0)]
+TUBE_LAMBDAS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]
+
+
+def _entries_over(b):
+    # B itself, where the rank jumps at lam = 1, or any short sequence >= 0
+    s = len(b)
+    short = st.integers(1, max(1, 6 // s)).flatmap(
+        lambda r: st.tuples(*[st.integers(0, 3)] * (r * s))
+    )
+    return st.one_of(st.just(b), short)
+
+
+@settings(max_examples=150)
+@given(
+    case=st.sampled_from(TUBE_GEOMETRIES).flatmap(
+        lambda b: st.tuples(st.just(b), _entries_over(b))
+    ),
+    lam=st.sampled_from(TUBE_LAMBDAS),
+    m=st.integers(1, 3),
+)
+@example(case=((1, 0), (1, 0)), lam=Fraction(1), m=2)
+@example(case=((1, 1, 0), (1, 1, 0)), lam=Fraction(1), m=3)
+def test_n_global_is_h0_of_the_twist(case, lam, m):
+    # n_global counts the twist's sections without building it; the twist
+    # as a triple, through the closed form and through the oracle, is the
+    # reference.
+    b, entries = case
+    geom = CuspGeometry(len(b), b)
+    seq = SSeq(geom.s, entries)
+    t = BundleTriple(seq, m, lam)
     if not kahn_condition(t):
         return
-    twisted = BundleTriple(twist_by_cycle(seq, geom), m, t.lam)
+    twisted = BundleTriple(twist_by_cycle(seq, geom), m, lam)
     n = n_global(t, geom)
-    assert n == cohom_dims(twisted).h0
+    assert n == cohom_dims(twisted).h0 == oracle_dims(twisted).h0
     assert n >= 0
     assert module_rank(t, geom) == m * seq.r + n

@@ -11,16 +11,21 @@ from cuspcm import (
     CuspGeometry,
     KahnViolation,
     SSeq,
+    TpqBranch,
+    TpqFree,
+    TpqSingle,
     ar_sequence,
     build_tube,
     classify_label,
     cusp_quiver,
+    enumerate_rank,
     export_dot,
     free_label,
     geometry_of,
     quiver_to_dict,
     tpq_quiver,
 )
+from test_cohomology import TUBE_GEOMETRIES, TUBE_LAMBDAS
 
 B1 = CuspGeometry(1, [1])
 G38 = geometry_of(3, 8)
@@ -105,7 +110,79 @@ def test_cusp_quiver_partitions_nodes():
     assert sum(1 for t in quiver.tubes if "A" in t.members) == 1
 
 
+@pytest.mark.parametrize("b", TUBE_GEOMETRIES)
+def test_derived_levels_match_the_per_level_path(b):
+    # ar_sequence and build_tube derive levels from one checked label; the
+    # reference classifies every level on its own.
+    geom = CuspGeometry(len(b), b)
+    bases = [
+        fam.seq
+        for rank in range(1, 5)
+        for fam in enumerate_rank(geom, rank).families
+        if fam.m == 1
+    ]
+    assert geom.b_sequence in bases
+    special = 0
+    for seq in bases:
+        for lam in TUBE_LAMBDAS:
+            if lam == 1 and not any(seq.entries):
+                continue  # no module over the zero sequence at lam = 1
+            ref = [
+                classify_label(BundleTriple(seq, m, lam), geom) for m in range(1, 7)
+            ]
+            tube = build_tube(geom, seq, lam, 5)
+            modules = [n for n in tube.nodes if n.kind == "module"]
+            assert [(n.id, n.rank) for n in modules] == [
+                (str(x), x.rank) for x in ref[:5]
+            ]
+            for m in range(1, 6):
+                if m > 1:
+                    expected = (ref[m], ref[m - 2])
+                elif seq == geom.b_sequence and lam == 1:
+                    expected = (free_label(geom), ref[1])
+                    special += 1
+                else:
+                    expected = (ref[1],)
+                assert ar_sequence(geom, ref[m - 1]).middle == expected
+    assert special == 1
+
+
 # ------------------------------------------------------------ tpq tubes
+
+
+def reference_tube_ids(geom, tube, depth):
+    # Member ids and translation of one T_pq tube, from a label built per
+    # level; the base is read back from the tube id.
+    seq_text, lam_text = re.fullmatch(r"T\(\[(.*)\],(.*)\)", tube.id).groups()
+    seq = SSeq(geom.cusp.s, tuple(int(v) for v in seq_text.split(",")))
+    lam = Fraction(lam_text)
+    if tube.period == 1:
+        ids = [str(TpqSingle(geom, seq, m, lam)) for m in range(1, depth + 1)]
+        return ids, {i: i for i in ids}
+    ids, translate = [], {}
+    if seq == geom.cusp.b_sequence and lam == 1:
+        ids.append(str(TpqFree(geom)))
+    for m in range(1, depth + 1):
+        one, two = (str(TpqBranch(geom, seq, m, int(lam), br)) for br in (1, 2))
+        ids += (one, two)
+        translate.update({one: two, two: one})
+    return ids, translate
+
+
+@pytest.mark.parametrize("p,q", [(3, 8), (4, 6), (5, 6)])
+def test_tpq_tube_ids_are_the_label_strings(p, q):
+    geom = geometry_of(p, q)
+    quiver = tpq_quiver(geom, depth=5, max_base_rank=4)
+    ids, translate = [], {}
+    for tube in quiver.tubes:
+        members, moves = reference_tube_ids(geom, tube, 5)
+        assert list(tube.members) == members
+        ids += members
+        translate.update(moves)
+    assert [n.id for n in quiver.nodes] == ids
+    assert quiver.translate == translate
+    assert {a.src for a in quiver.arrows} | {a.dst for a in quiver.arrows} <= set(ids)
+    assert any(t.period == 2 for t in quiver.tubes)
 
 
 def test_tpq_single_tube_shape():

@@ -1,5 +1,6 @@
 """T_pq geometries, the reflection sigma, and Knoerrer descent of labels."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,26 @@ def test_sigma_symmetry_examples():
     assert is_sigma_symmetric(G38, SSeq(2, (1, 2, 1, 3)))
     assert not is_sigma_symmetric(G38, SSeq(2, (1, 2, 3, 4)))
     assert is_sigma_symmetric(G55, SSeq(2, (1, 1)))
+
+
+def reference_is_sigma_symmetric(geom, seq):
+    reflected = apply_sigma(geom, seq)
+    return any(reflected == shift_by(seq, k) for k in range(seq.r))
+
+
+def test_sigma_symmetry_matches_the_shift_by_definition():
+    rng = random.Random(20020)
+    seen = set()
+    for p, q in CASES:
+        geom = geometry_of(p, q)
+        s = geom.cusp.s
+        for _ in range(300):
+            r = rng.randint(1, max(1, 8 // s))
+            seq = SSeq(s, tuple(rng.randint(0, 1) for _ in range(r * s)))
+            want = reference_is_sigma_symmetric(geom, seq)
+            assert is_sigma_symmetric(geom, seq) == want, (p, q, seq)
+            seen.add(want)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("p,q", CASES)
