@@ -4,7 +4,9 @@ One subcommand per invocation; results go to stdout as compact JSON (or
 DOT for the quiver subcommands, or a plain table).  Identical invocations
 produce byte-identical output.  Commands that take a triple also run in
 batch mode: one JSON object per stdin line, one result line each, input
-order preserved, with per-record error objects instead of aborts.
+order preserved, with per-record error objects instead of aborts.  The
+answers to the records that one read of stdin brings go out in one write,
+before the next read.
 
 Every subcommand is one entry of `COMMANDS`; `build_parser` and `_run`
 serve them all.  The flags of a single-shot run become the record a batch
@@ -16,12 +18,14 @@ Exit codes: 0 on success, 2 on a validation or usage error.
 from __future__ import annotations
 
 import argparse
+import codecs
+import io
 import json
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence, TextIO
 
 from .cohomology import (
     BundleTriple, CohomReport, CuspGeometry, KahnViolation, cohom_dims,
@@ -422,13 +426,73 @@ COMMANDS = (
 )
 
 
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj, separators=(",", ":")))
+    sys.stdout.write(_JSON.encode(obj) + "\n")
 
 
 def _error_payload(exc: Exception) -> dict:
     kind = "kahn_violation" if isinstance(exc, KahnViolation) else "invalid_input"
     return {"error": {"kind": kind, "message": str(exc)}}
+
+
+def _stdin_lines(stdin: TextIO) -> Iterator[list[str]]:
+    """Every complete line that one read of stdin brings, a list per read.
+
+    The bytes under stdin are read with `read1`, which waits only while
+    nothing is pending, so a caller that sends one record and waits for
+    its answer gets it.  They are decoded with stdin's own encoding and
+    errors and split at "\\n" only, as iterating over sys.stdin splits
+    them.  A text stream with no bytes under it (io.StringIO) gives one
+    line per list.
+    """
+    raw = getattr(stdin, "buffer", None)
+    if raw is None:
+        for line in stdin:
+            yield [line]
+        return
+    decoder = codecs.getincrementaldecoder(stdin.encoding)(stdin.errors)
+    partial: list[str] = []  # a line still waiting for its newline, in parts
+    while True:
+        data = raw.read1(io.DEFAULT_BUFFER_SIZE)
+        lines = decoder.decode(data, not data).split("\n")
+        partial.append(lines[0])
+        if len(lines) > 1:
+            lines[0] = "".join(partial)
+            partial = [lines.pop()]
+            yield lines
+        if not data:
+            last = "".join(partial)
+            if last:
+                yield [last]
+            return
+
+
+def _batch(answer: Callable[[dict], Any]) -> None:
+    """Answer stdin's records, one JSON line each, with one write per read."""
+    for lines in _stdin_lines(sys.stdin):
+        answers = []
+        try:
+            for line in lines:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                    if not isinstance(record, dict):
+                        raise ValueError("batch record must be a JSON object")
+                    answers.append(_JSON.encode(answer(record)))
+                # A record nested too deep for the JSON decoder or the library
+                # ends with a RecursionError; it is one bad record like any other.
+                except (ValueError, KeyError, RecursionError) as exc:
+                    answers.append(_JSON.encode(_error_payload(exc)))
+        finally:
+            # The answers made before an uncaught exception still go out.
+            if answers:
+                sys.stdout.write("\n".join(answers) + "\n")
+                sys.stdout.flush()
 
 
 def _run(cmd: Command, args: argparse.Namespace) -> int:
@@ -437,19 +501,7 @@ def _run(cmd: Command, args: argparse.Namespace) -> int:
     if cmd.skip_if is not None and getattr(args, cmd.skip_if) is not None:
         fields = ()
     if getattr(args, "batch", False):
-        for line in sys.stdin:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError("batch record must be a JSON object")
-                _emit(cmd.run(args, geom, _read(record, fields, s)))
-            # A record nested too deep for the JSON decoder or the library
-            # ends with a RecursionError; it is one bad record like any other.
-            except (ValueError, KeyError, RecursionError) as exc:
-                _emit(_error_payload(exc))
+        _batch(lambda record: cmd.run(args, geom, _read(record, fields, s)))
         return 0
     value = _read(_flag_record(args, fields), fields, s) if fields else None
     result = cmd.run(args, geom, value)

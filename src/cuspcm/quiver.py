@@ -235,8 +235,9 @@ def _tpq_tube(
     split = lam in (1, -1) and is_sigma_symmetric(geom, seq)
     if not split:
         single = TpqSingle(geom, seq, 1, lam)
+        text, lam_text = str(single.seq), str(single.lam)
         nodes = [
-            QuiverNode(id=f"N({single.seq},{m},{single.lam})", kind="single")
+            QuiverNode(id=f"N({text},{m},{lam_text})", kind="single")
             for m in range(1, depth + 1)
         ]
         return _period_one_tube(f"T({seq},{lam})", nodes)
