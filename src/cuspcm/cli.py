@@ -18,7 +18,6 @@ Exit codes: 0 on success, 2 on a validation or usage error.
 from __future__ import annotations
 
 import argparse
-import codecs
 import io
 import json
 import re
@@ -438,33 +437,33 @@ def _error_payload(exc: Exception) -> dict:
     return {"error": {"kind": kind, "message": str(exc)}}
 
 
-def _stdin_lines(stdin: TextIO) -> Iterator[list[str]]:
+def _stdin_lines(stdin: TextIO) -> Iterator[list[bytes] | list[str]]:
     """Every complete line that one read of stdin brings, a list per read.
 
     The bytes under stdin are read with `read1`, which waits only while
     nothing is pending, so a caller that sends one record and waits for
-    its answer gets it.  They are decoded with stdin's own encoding and
-    errors and split at "\\n" only, as iterating over sys.stdin splits
-    them.  A text stream with no bytes under it (io.StringIO) gives one
-    line per list.
+    its answer gets it.  They are split at b"\\n" only, as iterating over
+    sys.stdin splits them, and left undecoded: `_batch` decodes each line
+    on its own (no character of an ASCII-compatible encoding holds that
+    byte).  A text stream with no bytes under it (io.StringIO) gives one
+    str line per list.
     """
     raw = getattr(stdin, "buffer", None)
     if raw is None:
         for line in stdin:
             yield [line]
         return
-    decoder = codecs.getincrementaldecoder(stdin.encoding)(stdin.errors)
-    partial: list[str] = []  # a line still waiting for its newline, in parts
+    partial: list[bytes] = []  # a line still waiting for its newline, in parts
     while True:
         data = raw.read1(io.DEFAULT_BUFFER_SIZE)
-        lines = decoder.decode(data, not data).split("\n")
+        lines = data.split(b"\n")
         partial.append(lines[0])
         if len(lines) > 1:
-            lines[0] = "".join(partial)
+            lines[0] = b"".join(partial)
             partial = [lines.pop()]
             yield lines
         if not data:
-            last = "".join(partial)
+            last = b"".join(partial)
             if last:
                 yield [last]
             return
@@ -472,14 +471,19 @@ def _stdin_lines(stdin: TextIO) -> Iterator[list[str]]:
 
 def _batch(answer: Callable[[dict], Any]) -> None:
     """Answer stdin's records, one JSON line each, with one write per read."""
-    for lines in _stdin_lines(sys.stdin):
+    stdin = sys.stdin
+    for lines in _stdin_lines(stdin):
         answers = []
         try:
             for line in lines:
-                line = line.strip()
-                if not line:
-                    continue
                 try:
+                    # A line that stdin's encoding rejects is one bad record:
+                    # UnicodeDecodeError is a ValueError.
+                    if isinstance(line, bytes):
+                        line = line.decode(stdin.encoding, stdin.errors)
+                    line = line.strip()
+                    if not line:
+                        continue
                     record = json.loads(line)
                     if not isinstance(record, dict):
                         raise ValueError("batch record must be a JSON object")

@@ -26,7 +26,6 @@ __all__ = [
     "BundleTriple",
     "CuspGeometry",
     "CohomReport",
-    "positive_parts",
     "theta",
     "delta",
     "cohom_dims",
@@ -113,31 +112,10 @@ class CohomReport:
     h1: int
 
 
-def positive_parts(seq: SSeq) -> list[tuple[int, int]]:
-    """Maximal cyclic runs of non-negative entries, as (start, length) pairs.
-
-    start is the 0-based position of the first entry of a run; runs may wrap
-    around the end of the sequence.  A sequence without negative entries is
-    one run of full length starting at 0; a negative sequence has no runs.
-    Runs are listed by start position.
-    """
-    e = seq.entries
-    n = len(e)
-    if all(v >= 0 for v in e):
-        return [(0, n)]
-    parts: list[tuple[int, int]] = []
-    for i in range(n):
-        if e[i] >= 0 and e[i - 1] < 0:
-            length = 1
-            while e[(i + length) % n] >= 0:
-                length += 1
-            parts.append((i, length))
-    return parts
-
-
 def theta(seq: SSeq) -> int:
-    """Sum over positive parts: a full-cycle or all-zero run counts its
-    length, every other run counts length + 1."""
+    """Sum over the positive parts, the maximal cyclic runs of non-negative
+    entries: a full-cycle or all-zero run counts its length, every other
+    run counts length + 1."""
     return _theta(seq.entries)
 
 

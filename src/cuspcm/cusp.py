@@ -49,11 +49,23 @@ class LambdaBase(Enum):
 
 @dataclass(frozen=True)
 class CMModuleLabel:
-    """One point of the classification: the free module or a bundle triple."""
+    """One point of the classification: the free module or a bundle triple.
+
+    `classify_label` and `free_label` build labels.  A label built directly
+    must equal what they give for its data: a canonical sequence, a module
+    that exists, and its rank.
+    """
 
     geometry: CuspGeometry
     triple: BundleTriple | None  # None encodes the free module A
     rank: int
+
+    def __post_init__(self) -> None:
+        t, geom = self.triple, self.geometry
+        if type(self.rank) is not int or self != (
+            free_label(geom) if t is None else classify_label(t, geom)
+        ):
+            raise ValueError(f"{self} of rank {self.rank!r} is not a classified label")
 
     @property
     def is_free(self) -> bool:
@@ -103,9 +115,18 @@ class GrowthTable:
     exceptional: dict[int, tuple[CMModuleLabel, ...]]
 
 
+def _checked(cls, **fields):
+    # A frozen label of data the classification has checked: the fields are
+    # set as the dataclass __init__ sets them, and __post_init__ is skipped.
+    label = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(label, name, value)
+    return label
+
+
 def free_label(geom: CuspGeometry) -> CMModuleLabel:
     """The rank-1 free module A."""
-    return CMModuleLabel(geometry=geom, triple=None, rank=1)
+    return _checked(CMModuleLabel, geometry=geom, triple=None, rank=1)
 
 
 def classify_label(triple: BundleTriple, geom: CuspGeometry) -> CMModuleLabel:
@@ -127,20 +148,19 @@ def classify_label(triple: BundleTriple, geom: CuspGeometry) -> CMModuleLabel:
     if not kahn_condition(triple):  # before canonicalising, to name this rotation
         raise kahn_violation(triple)
     canon = BundleTriple(canonical_form(triple.seq), triple.m, triple.lam)
-    return CMModuleLabel(geometry=geom, triple=canon, rank=module_rank(canon, geom))
+    rank = module_rank(canon, geom)
+    return _checked(CMModuleLabel, geometry=geom, triple=canon, rank=rank)
 
 
 def _tube_level(label: CMModuleLabel, m: int) -> CMModuleLabel:
-    # Level m of the tube through a label that classify_label built: the
-    # same canonical sequence and lam object, no check re-run.  The rank is
-    # affine in m, m*(r + c) + j with j = 1 only over (B, 1).
+    # Level m of the tube through a checked label: the same canonical
+    # sequence and lam object, no check re-run.  The rank is affine in m,
+    # m*(r + c) + j with j = 1 only over (B, 1).
     t = label.triple
     j = 1 if t.lam == 1 and t.seq.entries == label.geometry.b else 0
-    return CMModuleLabel(
-        geometry=label.geometry,
-        triple=BundleTriple(t.seq, m, t.lam),
-        rank=(label.rank - j) // t.m * m + j,
-    )
+    return _checked(CMModuleLabel, geometry=label.geometry,
+                    triple=BundleTriple(t.seq, m, t.lam),
+                    rank=(label.rank - j) // t.m * m + j)
 
 
 def _twist_candidates(geom: CuspGeometry, r: int, slack: int) -> list[tuple[int, ...]]:

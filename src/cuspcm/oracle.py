@@ -37,9 +37,6 @@ from .cohomology import BundleTriple, CohomReport, cohom_dims, delta
 from .sequences import SSeq, enumerate_canonical
 
 __all__ = [
-    "PRIME",
-    "DOUBLE_PRIME",
-    "coordinate_index",
     "OracleSpace",
     "build_presentation",
     "rank_of_h",
@@ -55,22 +52,14 @@ DOUBLE_PRIME = 1
 _ONE = Fraction(1)
 
 
-def coordinate_index(i: int, k: int, side: int, m: int) -> int:
-    """Index of eps_{ik} in the (i, k, side)-lexicographic coordinate order.
-
-    i and k are 1-based; side is PRIME or DOUBLE_PRIME.  The order is fixed
-    so elimination pivots, and with them every intermediate matrix, are
-    reproducible run to run.
-    """
-    return ((i - 1) * m + (k - 1)) * 2 + side
-
-
 @dataclass(frozen=True)
 class OracleSpace:
     """Presentation data for one triple.
 
-    Vectors are sparse maps from coordinate index (see `coordinate_index`)
-    to a nonzero rational coefficient.
+    Vectors are sparse maps from coordinate index to a nonzero rational
+    coefficient.  The coordinate of eps_{ik} on side PRIME or DOUBLE_PRIME
+    (i and k 1-based) is ((i - 1)*m + k - 1)*2 + side: an (i, k, side)-
+    lexicographic order, fixed so that elimination pivots are reproducible.
     """
 
     dim_f: int
@@ -96,8 +85,7 @@ def build_presentation(triple: BundleTriple) -> OracleSpace:
     imf: list[dict[int, Fraction]] = []
     for i in range(rs):
         for k in range(m):
-            # coordinate_index(i + 1, k + 1, side, m) is at + side; written
-            # out, since this loop runs for every case of a sweep.
+            # The coordinate of eps_{i+1,k+1} on a side is at + side.
             at = 2 * (i * m + k)
             if i != rs - 1:
                 g.append({at + PRIME: one, at + 2 * m + DOUBLE_PRIME: one})

@@ -30,9 +30,7 @@ from .cusp import (
     free_label,
 )
 from .sequences import SSeq, canonical_form
-from .tpq import (
-    TpqBranch, TpqFree, TpqGeometry, TpqSingle, apply_sigma, is_sigma_symmetric,
-)
+from .tpq import TpqFree, TpqGeometry, apply_sigma, is_sigma_symmetric
 
 __all__ = [
     "QuiverNode",
@@ -229,25 +227,22 @@ def cusp_quiver(
 def _tpq_tube(
     geom: TpqGeometry, seq: SSeq, lam: Fraction, depth: int
 ) -> ARQuiver:
-    # One curve-side tube over the sigma-orbit of (seq, lam).  The base is
-    # checked once, as a label at m = 1; every level's node id is then
-    # formatted from it as str() of the label at that level would be.
-    split = lam in (1, -1) and is_sigma_symmetric(geom, seq)
-    if not split:
-        single = TpqSingle(geom, seq, 1, lam)
-        text, lam_text = str(single.seq), str(single.lam)
+    # One curve-side tube over the sigma-orbit of (seq, lam).  Both callers
+    # pass a checked base: seq canonical, a module at m = 1, lam a Fraction.
+    # Every level's node id is formatted from it as str() of the curve
+    # label at that level would be.
+    if not (lam in (1, -1) and is_sigma_symmetric(geom, seq)):
         nodes = [
-            QuiverNode(id=f"N({text},{m},{lam_text})", kind="single")
+            QuiverNode(id=f"N({seq},{m},{lam})", kind="single")
             for m in range(1, depth + 1)
         ]
         return _period_one_tube(f"T({seq},{lam})", nodes)
 
     sign = 1 if lam == 1 else -1
     special = seq == geom.cusp.b_sequence and sign == 1
-    text = str(TpqBranch(geom, seq, 1, sign, 1).seq)
 
     def branch_id(branch: int, m: int) -> str:
-        return f"N{branch}({text},{m},{sign})"
+        return f"N{branch}({seq},{m},{sign})"
 
     nodes = []
     members: list[str] = []

@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import ClassVar
 
 from .cohomology import BundleTriple, CuspGeometry, kahn_condition, kahn_violation
-from .cusp import CMModuleLabel
-from .sequences import SSeq, canonical_form, is_aperiodic
+from .cusp import CMModuleLabel, _checked, classify_label
+from .sequences import SSeq, canonical_form
 
 __all__ = [
     "TpqCase",
@@ -140,22 +140,6 @@ class TpqKind(Enum):
     SPLIT = "split"
 
 
-def _module_seq(geom: TpqGeometry, seq: SSeq, m: int, lam: Fraction | int) -> SSeq:
-    # What both module labels check of the surface data (seq, m, lam); gives
-    # the canonical rotation of seq.
-    if m < 1:
-        raise ValueError(f"module labels need a positive m, got {m}")
-    if seq.s != geom.cusp.s:
-        raise ValueError(f"sequence has s={seq.s}, the geometry s={geom.cusp.s}")
-    if not is_aperiodic(seq):
-        raise ValueError(f"periodic sequence {seq} does not label a module")
-    if any(v < 0 for v in seq.entries):
-        raise ValueError(f"negative entries in {seq} label no module")
-    if lam == 1 and all(v == 0 for v in seq.entries):
-        raise ValueError("no module for the zero sequence with lam=1")
-    return canonical_form(seq)
-
-
 @dataclass(frozen=True)
 class TpqFree:
     """The free module A' over the curve T_pq."""
@@ -181,14 +165,12 @@ class TpqSingle:
     kind: ClassVar[TpqKind] = TpqKind.SINGLE
 
     def __post_init__(self) -> None:
-        lam = self.lam if type(self.lam) is Fraction else Fraction(self.lam)
-        if lam == 0:
-            raise ValueError("lam must be a nonzero rational")
-        seq = _module_seq(self.geometry, self.seq, self.m, lam)
-        if lam in (1, -1) and is_sigma_symmetric(self.geometry, seq):
-            raise ValueError(f"{seq} with lam={lam} splits; use branch labels")
-        object.__setattr__(self, "seq", seq)
-        object.__setattr__(self, "lam", lam)
+        triple = BundleTriple(self.seq, self.m, self.lam)
+        t = classify_label(triple, self.geometry.cusp).triple
+        if t.lam in (1, -1) and is_sigma_symmetric(self.geometry, t.seq):
+            raise ValueError(f"{t.seq} with lam={t.lam} splits; use branch labels")
+        object.__setattr__(self, "seq", t.seq)
+        object.__setattr__(self, "lam", t.lam)
 
     def __str__(self) -> str:
         return f"N({self.seq},{self.m},{self.lam})"
@@ -207,11 +189,12 @@ class TpqBranch:
     kind: ClassVar[TpqKind] = TpqKind.SPLIT
 
     def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if self.branch not in (1, 2):
-            raise ValueError(f"branch must be 1 or 2, got {self.branch}")
-        seq = _module_seq(self.geometry, self.seq, self.m, self.sign)
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
+        if type(self.branch) is not int or self.branch not in (1, 2):
+            raise ValueError(f"branch must be 1 or 2, got {self.branch!r}")
+        triple = BundleTriple(self.seq, self.m, self.sign)
+        seq = classify_label(triple, self.geometry.cusp).triple.seq
         if not is_sigma_symmetric(self.geometry, seq):
             raise ValueError(f"{seq} is not sigma-symmetric; nothing splits")
         object.__setattr__(self, "seq", seq)
@@ -235,10 +218,13 @@ def descend(geom: TpqGeometry, label: CMModuleLabel) -> list[TpqModuleLabel]:
         raise ValueError("label belongs to a different geometry")
     if label.is_free:
         return [TpqFree(geom)]
+    # The label is checked by construction, so its curve labels are too.
     t = label.triple
     if t.lam in (1, -1) and is_sigma_symmetric(geom, t.seq):
-        return [TpqBranch(geom, t.seq, t.m, int(t.lam), b) for b in (1, 2)]
-    return [TpqSingle(geom, t.seq, t.m, t.lam)]
+        sign = int(t.lam)
+        return [_checked(TpqBranch, geometry=geom, seq=t.seq, m=t.m, sign=sign, branch=b)
+                for b in (1, 2)]
+    return [_checked(TpqSingle, geometry=geom, seq=t.seq, m=t.m, lam=t.lam)]
 
 
 def tpq_iso(geom: TpqGeometry, a: TpqModuleLabel, b: TpqModuleLabel) -> bool:
@@ -253,4 +239,6 @@ def tpq_iso(geom: TpqGeometry, a: TpqModuleLabel, b: TpqModuleLabel) -> bool:
         return True
     if not (isinstance(a, TpqSingle) and isinstance(b, TpqSingle)):
         return False
-    return a == TpqSingle(geom, apply_sigma(geom, b.seq), b.m, 1 / b.lam)
+    # b flipped, compared field by field: b is checked, and so is its flip.
+    flip = (canonical_form(apply_sigma(geom, b.seq)), b.m, 1 / b.lam)
+    return (a.seq, a.m, a.lam) == flip

@@ -3,7 +3,9 @@
 The reader answers every complete line of one read of stdin with one
 write.  Its reference is the loop batch mode had before, `for line in
 sys.stdin`, kept here: the reader must find the same records in the same
-bytes, however they fall across reads.
+bytes, however they fall across reads.  Where that loop ended the stream
+at a line stdin's encoding rejects, the reader makes that line one bad
+record and goes on.
 """
 
 import io
@@ -103,6 +105,32 @@ def test_a_20_mb_line_is_answered_quickly():
     assert elapsed < 5, f"{elapsed:.2f} s"
 
 
+THREE = b'{"seq":[1],"m":1,"lambda":2}\n\xff\n{"seq":[2],"m":1,"lambda":2}\n'
+
+
+def test_an_undecodable_line_under_a_strict_stdin_costs_only_itself():
+    env = dict(cli_env(True), PYTHONIOENCODING="utf-8:strict")
+    done = subprocess.run(cli_argv("cohom", "--s", "1", "--batch"), input=THREE,
+                          capture_output=True, env=env, timeout=60)
+    lines = done.stdout.decode().splitlines()
+    assert done.returncode == 0 and len(lines) == 3, done.stdout
+    assert lines[0] == '{"theta":1,"delta":0,"h0":1,"h1":0}'
+    assert json.loads(lines[1])["error"]["kind"] == "invalid_input"
+    assert lines[2] == '{"theta":1,"delta":0,"h0":2,"h1":0}'
+
+
+def test_an_undecodable_line_under_surrogateescape_is_a_json_error():
+    # surrogateescape, stdin's error handler under the C and POSIX locales,
+    # turns the bad byte into text that the JSON decoder rejects.
+    env = dict(cli_env(True), PYTHONIOENCODING="utf-8:surrogateescape")
+    done = subprocess.run(cli_argv("cohom", "--s", "1", "--batch"), input=THREE,
+                          capture_output=True, env=env, timeout=60)
+    assert (done.stdout, done.stderr, done.returncode) == (
+        b'{"theta":1,"delta":0,"h0":1,"h1":0}\n'
+        b'{"error":{"kind":"invalid_input","message":"Expecting value: line 1 column 1 (char 0)"}}\n'
+        b'{"theta":1,"delta":0,"h0":2,"h1":0}\n', b"", 0)
+
+
 # ------------------------------------------------------------ the reader
 
 
@@ -131,8 +159,26 @@ def reference(stdin) -> tuple[list[str], str | None]:
     return records(line for line in stdin)  # the loop batch mode had
 
 
-def reader(stdin) -> tuple[list[str], str | None]:
-    return records(line for lines in cli._stdin_lines(stdin) for line in lines)
+def reader(stdin) -> list[str | None]:
+    """The records the batch loop answers from the reader's lines, each
+    decoded on its own as `_batch` decodes it; None for a line that stdin's
+    decoding rejects, which is answered with an error object."""
+    got: list[str | None] = []
+    for lines in cli._stdin_lines(stdin):
+        for line in lines:
+            try:
+                line = line.decode(stdin.encoding, stdin.errors).strip()
+            except UnicodeDecodeError:
+                got.append(None)
+                continue
+            if line:
+                got.append(line)
+    return got
+
+
+def escaped(line: str) -> bool:
+    """Whether surrogateescape decoding put an undecodable byte in line."""
+    return any("\udc80" <= c <= "\udcff" for c in line)
 
 
 def straddle(piece: bytes, at: int) -> bytes:
@@ -168,10 +214,19 @@ DATA = {
 @pytest.mark.parametrize("name", DATA)
 def test_the_reader_finds_the_reference_records(name, encoding, errors):
     data = DATA[name]
-    want = reference(like_sys_stdin(data, encoding, errors))
-    assert reader(like_sys_stdin(data, encoding, errors)) == want
+    want, error = reference(like_sys_stdin(data, encoding, errors))
+    got = reader(like_sys_stdin(data, encoding, errors))
+    if error is None:
+        assert got == want
+    else:
+        # The reference stops at the first line it cannot decode.  The reader
+        # finds every record of the lenient decoding, and only the lines that
+        # hold an undecodable byte are rejected.
+        lenient, _ = reference(like_sys_stdin(data, encoding, "surrogateescape"))
+        assert got == [None if escaped(line) else line for line in lenient]
+        assert None in got and got != want
     if errors == "strict" and encoding == "utf-8" and name in ("invalid-byte", "cut-sequence"):
-        assert want[0] == ["a"] and want[1] is not None  # the first read's line only
+        assert want == ["a"] and error is not None  # the first read's line only
 
 
 def test_the_reference_reads_like_sys_stdin():

@@ -22,7 +22,6 @@ from cuspcm import (
     module_rank,
     n_global,
     oracle_dims,
-    positive_parts,
     shift_by,
     theta,
     twist_by_cycle,
@@ -76,6 +75,29 @@ def test_cusp_geometry_validation():
 
 
 # -------------------------------------------------------- run counting
+
+
+def positive_parts(seq):
+    """Maximal cyclic runs of non-negative entries, as (start, length) pairs.
+
+    start is the 0-based position of the first entry of a run; runs may wrap
+    around the end of the sequence.  A sequence without negative entries is
+    one run of full length starting at 0; a negative sequence has no runs.
+    Runs are listed by start position.  This is the reference that theta's
+    run-by-run definition is read from.
+    """
+    e = seq.entries
+    n = len(e)
+    if all(v >= 0 for v in e):
+        return [(0, n)]
+    parts = []
+    for i in range(n):
+        if e[i] >= 0 and e[i - 1] < 0:
+            length = 1
+            while e[(i + length) % n] >= 0:
+                length += 1
+            parts.append((i, length))
+    return parts
 
 
 def test_positive_parts_examples():

@@ -16,6 +16,7 @@ import pytest
 from cuspcm import cusp
 from cuspcm import (
     BundleTriple,
+    CMModuleLabel,
     CuspGeometry,
     KahnViolation,
     LambdaBase,
@@ -153,6 +154,31 @@ def test_classify_label_canonicalizes():
 def test_free_label():
     lab = free_label(B1)
     assert lab.is_free and lab.rank == 1 and str(lab) == "A"
+
+
+@pytest.mark.parametrize("triple,rank", [
+    (BundleTriple(SSeq(1, (2,)), 1, 3), 7),  # M([2],1,3) has rank 2, not 7
+    (BundleTriple(SSeq(1, (2, 0)), 1, 3), 2),  # the right rank, not canonical
+    (BundleTriple(SSeq(1, (1, 1)), 1, 3), 4),  # periodic
+    (BundleTriple(SSeq(1, (0,)), 1, 1), 1),  # no module: Kahn's condition fails
+    (BundleTriple(SSeq(1, (1, -1)), 1, 3), 2),  # no module: a negative entry
+    (BundleTriple(SSeq(2, (1, 0)), 1, 3), 2),  # a sequence for s = 2
+    (None, 2),  # the free module has rank 1
+    (None, True),  # a bool is not a rank
+], ids=str)
+def test_a_hand_built_label_is_checked(triple, rank):
+    with pytest.raises(ValueError):
+        CMModuleLabel(B1, triple, rank=rank)
+
+
+def test_a_hand_built_copy_of_a_label_is_accepted():
+    for lab in (
+        classify_label(BundleTriple(SSeq(1, (2,)), 1, 3), B1),
+        classify_label(BundleTriple(SSeq(1, (1,)), 3, 1), B1),
+        free_label(B1),
+    ):
+        copy = CMModuleLabel(lab.geometry, lab.triple, lab.rank)
+        assert copy == lab and hash(copy) == hash(lab) and str(copy) == str(lab)
 
 
 # ---------------------------------------------------------- enumeration

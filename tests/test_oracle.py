@@ -31,7 +31,7 @@ from cuspcm import (
     verify_grid,
 )
 from cuspcm import oracle
-from cuspcm.oracle import DOUBLE_PRIME, PRIME, _eliminate, coordinate_index
+from cuspcm.oracle import _eliminate
 from test_sequences import sseqs
 
 
@@ -95,6 +95,15 @@ def g_first_rank_of_h(triple):
 
 def triple(s, entries, m=1, lam=2):
     return BundleTriple(SSeq(s, entries), m, Fraction(lam))
+
+
+PRIME, DOUBLE_PRIME = 0, 1  # the two sides of a coordinate eps_{ik}
+
+
+def coordinate_index(i, k, side, m):
+    """Index of eps_{ik} (i, k 1-based) on a side in the (i, k, side)-
+    lexicographic coordinate order of build_presentation."""
+    return ((i - 1) * m + (k - 1)) * 2 + side
 
 
 # ----------------------------------------------------------- the spaces

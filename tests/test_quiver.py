@@ -8,6 +8,7 @@ import pytest
 from cuspcm import (
     ARQuiver,
     BundleTriple,
+    CMModuleLabel,
     CuspGeometry,
     KahnViolation,
     SSeq,
@@ -18,6 +19,7 @@ from cuspcm import (
     build_tube,
     classify_label,
     cusp_quiver,
+    descend,
     enumerate_rank,
     export_dot,
     free_label,
@@ -145,6 +147,67 @@ def test_derived_levels_match_the_per_level_path(b):
                     expected = (ref[1],)
                 assert ar_sequence(geom, ref[m - 1]).middle == expected
     assert special == 1
+
+
+# The criterion-05 geometries, each the double cover of a T_pq, with the
+# scalars swept.  As in criterion 05 the largest, b = (1, 1, 0) with 4,041
+# tube bases of rank <= 4, is swept at one generic scalar.
+CRITERION_05_TPQ = [
+    pytest.param((p, q), lams, id=f"T{p},{q}")
+    for (p, q), lams in [((3, 7), TUBE_LAMBDAS), ((4, 5), TUBE_LAMBDAS),
+                         ((3, 8), TUBE_LAMBDAS), ((5, 6), [Fraction(2)])]
+]
+
+
+def checked_copy(lab):
+    # The label rebuilt through the public, checking constructor.
+    if isinstance(lab, CMModuleLabel):
+        return CMModuleLabel(lab.geometry, lab.triple, lab.rank)
+    if isinstance(lab, TpqSingle):
+        return TpqSingle(lab.geometry, lab.seq, lab.m, lab.lam)
+    if isinstance(lab, TpqBranch):
+        return TpqBranch(lab.geometry, lab.seq, lab.m, lab.sign, lab.branch)
+    return TpqFree(lab.geometry)
+
+
+@pytest.mark.parametrize("pq,lams", CRITERION_05_TPQ)
+def test_trusted_labels_equal_their_checked_rebuilds(pq, lams):
+    # Labels built past the check (classify_label, free_label, the tube
+    # levels, descend) equal what the checking constructors build.
+    tpq = geometry_of(*pq)
+    geom = tpq.cusp
+    labels = {free_label(geom)}
+    bases = []
+    for rank in range(1, 5):
+        piece = enumerate_rank(geom, rank)
+        labels.update(piece.exceptional)
+        for fam in piece.families:
+            # raises unless the family is canonical and of this rank
+            CMModuleLabel(geom, BundleTriple(fam.seq, fam.m, 7), rank)
+            if fam.m == 1:
+                bases.append(fam.seq)
+    for seq in bases:
+        for lam in lams:
+            if lam == 1 and not any(seq.entries):
+                continue
+            tube = build_tube(geom, seq, lam, 4)
+            modules = [n for n in tube.nodes if n.kind == "module"]
+            for m, node in enumerate(modules, 1):
+                rebuilt = CMModuleLabel(geom, BundleTriple(seq, m, lam), node.rank)
+                assert str(rebuilt) == node.id
+            # Walk up the tube through the middle terms: level m + 1 is the
+            # one of largest rank.
+            lab = classify_label(BundleTriple(seq, 1, lam), geom)
+            for _ in range(4):
+                middle = ar_sequence(geom, lab).middle
+                labels.update(middle)
+                lab = max(middle, key=lambda x: x.rank)
+            labels.add(lab)
+    curve = {down for lab in labels for down in descend(tpq, lab)}
+    assert {TpqFree, TpqSingle, TpqBranch} <= {type(lab) for lab in curve}
+    for lab in [*labels, *curve]:
+        copy = checked_copy(lab)
+        assert copy == lab and str(copy) == str(lab)
 
 
 # ------------------------------------------------------------ tpq tubes

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cuspcm import cusp, tpq
 from cuspcm import (
     BundleTriple,
     KahnViolation,
@@ -172,6 +173,13 @@ def test_label_validation():
     assert str(lab) == "N2([1,0],1,-1)"
 
 
+@pytest.mark.parametrize("sign,branch", [(1.0, 1), (True, 1), (1, 1.0), (1, True)])
+def test_branch_labels_take_int_sign_and_branch(sign, branch):
+    # 1.0 and True equal 1 but would print as "1.0" and "True" in the label.
+    with pytest.raises(ValueError, match="must be"):
+        TpqBranch(G38, SSeq(2, (1, 0)), 1, sign, branch)
+
+
 # -------------------------------------------------------------- descend
 
 
@@ -192,6 +200,30 @@ def test_descend_splits_at_sign():
     lab = classify_label(BundleTriple(SSeq(2, (1, 0)), 1, Fraction(-1)), G38.cusp)
     got = descend(G38, lab)
     assert [str(g) for g in got] == ["N1([1,0],1,-1)", "N2([1,0],1,-1)"]
+
+
+def test_descend_checks_symmetry_once_and_nothing_else(monkeypatch):
+    # The surface label is checked by construction; descending a split one
+    # tests sigma-symmetry once and re-checks nothing.
+    lab = classify_label(BundleTriple(SSeq(2, (1, 0)), 1, Fraction(-1)), G38.cusp)
+    calls = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in [(tpq, "is_sigma_symmetric"), (tpq, "canonical_form"),
+                         (tpq, "classify_label"), (cusp, "canonical_form"),
+                         (cusp, "is_aperiodic"), (cusp, "classify_label")]:
+        counting(module, name)
+    got = descend(G38, lab)
+    assert [str(g) for g in got] == ["N1([1,0],1,-1)", "N2([1,0],1,-1)"]
+    assert calls == ["is_sigma_symmetric"]
 
 
 def test_descend_rejects_other_geometry():
