@@ -548,8 +548,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _run(args.cmd, args)
     except BrokenPipeError:
         return 0
-    # A search deeper than the interpreter's stack (a long cycle) raises
-    # RecursionError; it is reported as invalid input, not as a traceback.
+    # Input nested deeper than the interpreter's stack raises RecursionError;
+    # it is reported as invalid input, not as a traceback.
     except (ValueError, RecursionError) as exc:
         if args.format == "json":
             _emit(_error_payload(exc))

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 
 from .cohomology import (
     BundleTriple,
@@ -26,7 +27,7 @@ from .cohomology import (
     kahn_violation,
     module_rank,
 )
-from .sequences import SSeq, canonical_form, is_aperiodic
+from .sequences import SSeq, _checked, canonical_form, is_aperiodic
 
 __all__ = [
     "LambdaBase",
@@ -115,18 +116,9 @@ class GrowthTable:
     exceptional: dict[int, tuple[CMModuleLabel, ...]]
 
 
-def _checked(cls, **fields):
-    # A frozen label of data the classification has checked: the fields are
-    # set as the dataclass __init__ sets them, and __post_init__ is skipped.
-    label = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(label, name, value)
-    return label
-
-
 def free_label(geom: CuspGeometry) -> CMModuleLabel:
     """The rank-1 free module A."""
-    return _checked(CMModuleLabel, geometry=geom, triple=None, rank=1)
+    return _checked(CMModuleLabel, geom, None, 1)
 
 
 def classify_label(triple: BundleTriple, geom: CuspGeometry) -> CMModuleLabel:
@@ -139,6 +131,13 @@ def classify_label(triple: BundleTriple, geom: CuspGeometry) -> CMModuleLabel:
         KahnViolation: no module exists for these parameters.
         ValueError: periodic sequence, or component count mismatch.
     """
+    canon = _canonical_triple(triple, geom)
+    return _checked(CMModuleLabel, geom, canon, module_rank(canon, geom))
+
+
+def _canonical_triple(triple: BundleTriple, geom: CuspGeometry) -> BundleTriple:
+    # The label check without the rank: the component count, aperiodicity
+    # and Kahn's test, then the canonical rotation of the same m and lam.
     if triple.seq.s != geom.s:
         raise ValueError(
             f"sequence has s={triple.seq.s} but the geometry has s={geom.s}"
@@ -147,9 +146,7 @@ def classify_label(triple: BundleTriple, geom: CuspGeometry) -> CMModuleLabel:
         raise ValueError(f"periodic sequence {triple.seq} does not label a module")
     if not kahn_condition(triple):  # before canonicalising, to name this rotation
         raise kahn_violation(triple)
-    canon = BundleTriple(canonical_form(triple.seq), triple.m, triple.lam)
-    rank = module_rank(canon, geom)
-    return _checked(CMModuleLabel, geometry=geom, triple=canon, rank=rank)
+    return _checked(BundleTriple, canonical_form(triple.seq), triple.m, triple.lam)
 
 
 def _tube_level(label: CMModuleLabel, m: int) -> CMModuleLabel:
@@ -158,9 +155,8 @@ def _tube_level(label: CMModuleLabel, m: int) -> CMModuleLabel:
     # m*(r + c) + j with j = 1 only over (B, 1).
     t = label.triple
     j = 1 if t.lam == 1 and t.seq.entries == label.geometry.b else 0
-    return _checked(CMModuleLabel, geometry=label.geometry,
-                    triple=BundleTriple(t.seq, m, t.lam),
-                    rank=(label.rank - j) // t.m * m + j)
+    return _checked(CMModuleLabel, label.geometry, BundleTriple(t.seq, m, t.lam),
+                    (label.rank - j) // t.m * m + j)
 
 
 def _twist_candidates(geom: CuspGeometry, r: int, slack: int) -> list[tuple[int, ...]]:
@@ -171,7 +167,7 @@ def _twist_candidates(geom: CuspGeometry, r: int, slack: int) -> list[tuple[int,
     A block prenecklace is a prefix of a word that is least among its
     rotations by multiples of s; every canonical aperiodic sequence is one,
     and the caller drops the rest.  The walk is the Fredricksen-Kessler-
-    Maiorana recursion (Cattell, Ruskey, Sawada, Serra and Miers 2000) over
+    Maiorana search (Cattell, Ruskey, Sawada, Serra and Miers 2000) over
     the alphabet of s-blocks: p is the period of the prefix, a multiple of
     s, and while the block being filled still equals the block p back,
     entry i is at least d[i - p].  B^r has period s, so that bound reads
@@ -183,6 +179,9 @@ def _twist_candidates(geom: CuspGeometry, r: int, slack: int) -> list[tuple[int,
     increasing order; a partial run can only gain sum, so the accumulated
     count is a lower bound and prunes the search.  The run through
     position 0 is settled last, when its wrap status is known.
+
+    The walk keeps its frames on an explicit stack, so its depth r*s is
+    not bounded by the interpreter's recursion limit.
     """
     s = geom.s
     b = geom.b * r
@@ -191,67 +190,58 @@ def _twist_candidates(geom: CuspGeometry, r: int, slack: int) -> list[tuple[int,
     vmax = slack + 1
     buf = [0] * n
     out: list[tuple[int, ...]] = []
-
-    def close(sigma: int, pos: bool) -> int:
-        return sigma - 1 if pos else 0
-
-    def rec(
-        i: int,
-        p: int,
-        gt: bool,
-        closed: int,
-        cur_sum: int,
-        cur_pos: bool,
-        cur_open: bool,
-        seen_neg: bool,
-        head_sum: int,
-        head_pos: bool,
-        head_any: bool,
-    ) -> None:
-        # gt: the block being filled already exceeds the block p back
-        if gt and i and i % s == 0:
-            p, gt = i, False
-        if i == n:
-            if not seen_neg:
-                h = head_sum
-            elif cur_open and head_any:
-                h = closed + close(cur_sum + head_sum, cur_pos or head_pos)
-            else:
-                h = closed
-                if cur_open:
-                    h += close(cur_sum, cur_pos)
-                if head_any:
-                    h += close(head_sum, head_pos)
-            if h == slack:
+    stack: list[tuple] = []
+    # The frame filling entry i.  gt: the block being filled already exceeds
+    # the block p back.  closed counts the sections of the runs already
+    # ended; run is the sum of the open run and head the sum of the run
+    # through position 0, which stays open until the first negative entry
+    # (neg).  Entries of a run are non-negative, so its sum is positive
+    # exactly when it holds a positive entry: it then costs sum - 1.
+    # The c_ names hold the state with entry i placed.  The first block has
+    # nothing to exceed; it fixes p = s when it ends.
+    i, p, gt, closed, run, neg, head = 0, 0, True, 0, 0, False, 0
+    first = v = -b[0]
+    while True:
+        if v > vmax:
+            if not stack:
+                return out
+            i, p, gt, closed, run, neg, head, first, v = stack.pop()
+            continue
+        head_cost = head - 1 if head > 0 else 0
+        if v < 0:
+            c_closed = closed + (run - 1 if run > 0 else 0)
+            if c_closed + head_cost > slack:  # the same for every v < 0
+                v = 0
+                continue
+            c_run, c_neg, c_head = 0, True, head
+        elif not neg:
+            c_head = head + v
+            if c_head > vmax:
+                v = vmax + 1
+                continue
+            c_closed, c_run, c_neg = closed, 0, False
+        else:
+            c_run = run + v
+            if closed + (c_run - 1 if c_run > 0 else 0) + head_cost > slack:
+                v = vmax + 1
+                continue
+            c_closed, c_neg, c_head = closed, True, head
+        buf[i] = v + b[i]
+        if i + 1 == n:
+            if c_neg:
+                total = c_run + c_head  # the open run wraps into the head run
+                c_closed += total - 1 if total > 0 else 0
+            if (c_closed if c_neg else c_head) == slack:
                 out.append(tuple(buf))
-            return
-        head_lb = close(head_sum, head_pos) if head_any else 0
-        first = -b[i] if gt else buf[i - p] - b[i]
-        for v in range(first, vmax + 1):
-            buf[i] = v + b[i]
-            up = gt or v > first
-            if v < 0:
-                done = closed + (close(cur_sum, cur_pos) if cur_open else 0)
-                if done + head_lb > slack:
-                    continue
-                rec(i + 1, p, up, done, 0, False, False, True, head_sum, head_pos,
-                    head_any)
-            elif not seen_neg:
-                hs, hp = head_sum + v, head_pos or v > 0
-                if close(hs, hp) > slack:
-                    break
-                rec(i + 1, p, up, closed, 0, False, False, False, hs, hp, True)
-            else:
-                cs, cp = cur_sum + v, cur_pos or v > 0
-                if closed + close(cs, cp) + head_lb > slack:
-                    break
-                rec(i + 1, p, up, closed, cs, cp, True, True, head_sum, head_pos,
-                    head_any)
-
-    # the first block has nothing to exceed; it fixes p = s when it ends
-    rec(0, 0, True, 0, 0, False, False, False, 0, False, False)
-    del rec  # a self-referencing closure: free it now, not at a full collection
-    return out
+            v += 1
+            continue
+        stack.append((i, p, gt, closed, run, neg, head, first, v + 1))
+        gt = gt or v > first
+        i += 1
+        if gt and i % s == 0:
+            p, gt = i, False
+        closed, run, neg, head = c_closed, c_run, c_neg, c_head
+        first = v = -b[i] if gt else buf[i - p] - b[i]
 
 
 def enumerate_rank(geom: CuspGeometry, rank: int) -> RankSlice:
@@ -265,34 +255,33 @@ def enumerate_rank(geom: CuspGeometry, rank: int) -> RankSlice:
     Away from the lam = 1 jump the rank of M(d, m, lam) is m times
     (r + sections of the twist d - B^r), so only divisors m of the rank
     occur and the sequences of each (m, r) block are found by a direct
-    search for the exact section count rank/m - r.
+    search for the exact section count rank/m - r.  A sequence has one
+    section count, so its m is unique and each r sorts by sequence alone.
     """
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
+    s = geom.s
+    special = ((0,) * s, geom.b)  # the families without lam = 1
+    except_one, every = LambdaBase.NONZERO_EXCEPT_ONE, LambdaBase.ALL_NONZERO
     families: list[FamilyDescriptor] = []
-    b_seq = geom.b_sequence
-    zero = SSeq(geom.s, (0,) * geom.s)
-    for m in range(1, rank + 1):
-        if rank % m:
-            continue
-        for r in range(1, rank // m + 1):
+    for r in range(1, rank + 1):
+        block: list[FamilyDescriptor] = []
+        for m in range(1, rank // r + 1):
+            if rank % m:
+                continue
             for entries in _twist_candidates(geom, r, rank // m - r):
-                seq = SSeq(geom.s, entries)
-                if not is_aperiodic(seq):
+                # the search made an int tuple of length r*s: checked data
+                seq = _checked(SSeq, s, entries)
+                if not is_aperiodic(seq) or canonical_form(seq) is not seq:
                     continue
-                if canonical_form(seq).entries != entries:
-                    continue
-                base = (
-                    LambdaBase.NONZERO_EXCEPT_ONE
-                    if seq == zero or seq == b_seq
-                    else LambdaBase.ALL_NONZERO
-                )
-                families.append(FamilyDescriptor(seq=seq, m=m, base=base, rank=rank))
-    families.sort(key=lambda f: (len(f.seq.entries), f.seq.entries, f.m))
+                base = except_one if entries in special else every
+                block.append(_checked(FamilyDescriptor, seq, m, base, rank))
+        block.sort(key=attrgetter("seq.entries"))
+        families += block
     exceptional: tuple[CMModuleLabel, ...] = ()
     if rank >= 2:
         exceptional = (
-            classify_label(BundleTriple(b_seq, rank - 1, Fraction(1)), geom),
+            classify_label(BundleTriple(geom.b_sequence, rank - 1, Fraction(1)), geom),
         )
     return RankSlice(
         rank=rank,

@@ -230,19 +230,20 @@ def _tpq_tube(
     # One curve-side tube over the sigma-orbit of (seq, lam).  Both callers
     # pass a checked base: seq canonical, a module at m = 1, lam a Fraction.
     # Every level's node id is formatted from it as str() of the curve
-    # label at that level would be.
+    # label at that level would be, from the sequence's text made once.
+    text = str(seq)
     if not (lam in (1, -1) and is_sigma_symmetric(geom, seq)):
         nodes = [
-            QuiverNode(id=f"N({seq},{m},{lam})", kind="single")
+            QuiverNode(id=f"N({text},{m},{lam})", kind="single")
             for m in range(1, depth + 1)
         ]
-        return _period_one_tube(f"T({seq},{lam})", nodes)
+        return _period_one_tube(f"T({text},{lam})", nodes)
 
     sign = 1 if lam == 1 else -1
-    special = seq == geom.cusp.b_sequence and sign == 1
+    special = seq.entries == geom.cusp.b and sign == 1
 
     def branch_id(branch: int, m: int) -> str:
-        return f"N{branch}({seq},{m},{sign})"
+        return f"N{branch}({text},{m},{sign})"
 
     nodes = []
     members: list[str] = []
@@ -267,7 +268,7 @@ def _tpq_tube(
         arrows.append(QuiverArrow(src=branch_id(2, m), dst=branch_id(2, m + 1)))
         arrows.append(QuiverArrow(src=branch_id(1, m + 1), dst=branch_id(2, m)))
         arrows.append(QuiverArrow(src=branch_id(2, m + 1), dst=branch_id(1, m)))
-    tube = Tube(id=f"T({seq},{sign})", period=2, members=tuple(members))
+    tube = Tube(id=f"T({text},{sign})", period=2, members=tuple(members))
     return ARQuiver(
         nodes=tuple(nodes), arrows=tuple(arrows), tubes=(tube,),
         translate=translate,

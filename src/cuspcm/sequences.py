@@ -58,6 +58,19 @@ class SSeq:
         return "[" + ",".join(str(e) for e in self.entries) + "]"
 
 
+_new, _set = object.__new__, object.__setattr__
+
+
+def _checked(cls, *values):
+    # An instance of the frozen dataclass cls from values already checked:
+    # the fields are set in order, as the dataclass __init__ sets them, and
+    # __post_init__ is skipped.
+    obj = _new(cls)
+    for name, value in zip(cls.__match_args__, values):
+        _set(obj, name, value)
+    return obj
+
+
 def shift_by(seq: SSeq, k: int) -> SSeq:
     """Rotate by k copies of the cycle; entry i of the result is entry i + k*s."""
     cut = (k % seq.r) * seq.s
@@ -80,12 +93,16 @@ def canonical_form(seq: SSeq) -> SSeq:
     A sequence that is already least is returned as it is, not copied.
     """
     e = seq.entries
+    n, s = len(e), seq.s
+    if n == s:
+        return seq
+    twice = e + e
     best = e
-    for cut in range(seq.s, len(e), seq.s):
-        rot = e[cut:] + e[:cut]
+    for cut in range(s, n, s):
+        rot = twice[cut:cut + n]
         if rot < best:
             best = rot
-    return seq if best is e else SSeq(seq.s, best)
+    return seq if best is e else _checked(SSeq, s, best)
 
 
 def enumerate_canonical(s: int, max_r: int, lo: int, hi: int) -> list[SSeq]:
@@ -107,6 +124,8 @@ def enumerate_canonical(s: int, max_r: int, lo: int, hi: int) -> list[SSeq]:
         raise ValueError(f"component count must be positive, got {s}")
     if max_r < 1:
         raise ValueError(f"max_r must be positive, got {max_r}")
+    if type(lo) is not int or type(hi) is not int:
+        raise ValueError("sequence entries must be integers")
     if lo > hi:
         raise ValueError(f"empty entry range: lo={lo} is greater than hi={hi}")
     found: list[SSeq] = []
@@ -115,7 +134,7 @@ def enumerate_canonical(s: int, max_r: int, lo: int, hi: int) -> list[SSeq]:
         p = s  # the period of a, a multiple of s
         while True:
             if p == n:
-                found.append(SSeq(s, tuple(a)))
+                found.append(_checked(SSeq, s, tuple(a)))
             # the next prenecklace: raise the last entry below hi, fill the
             # rest of its block with lo, then repeat the prefix up to there
             i = n - 1

@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import ClassVar
 
 from .cohomology import BundleTriple, CuspGeometry, kahn_condition, kahn_violation
-from .cusp import CMModuleLabel, _checked, classify_label
-from .sequences import SSeq, canonical_form
+from .cusp import CMModuleLabel, _canonical_triple
+from .sequences import SSeq, _checked, canonical_form
 
 __all__ = [
     "TpqCase",
@@ -166,7 +166,7 @@ class TpqSingle:
 
     def __post_init__(self) -> None:
         triple = BundleTriple(self.seq, self.m, self.lam)
-        t = classify_label(triple, self.geometry.cusp).triple
+        t = _canonical_triple(triple, self.geometry.cusp)
         if t.lam in (1, -1) and is_sigma_symmetric(self.geometry, t.seq):
             raise ValueError(f"{t.seq} with lam={t.lam} splits; use branch labels")
         object.__setattr__(self, "seq", t.seq)
@@ -194,7 +194,7 @@ class TpqBranch:
         if type(self.branch) is not int or self.branch not in (1, 2):
             raise ValueError(f"branch must be 1 or 2, got {self.branch!r}")
         triple = BundleTriple(self.seq, self.m, self.sign)
-        seq = classify_label(triple, self.geometry.cusp).triple.seq
+        seq = _canonical_triple(triple, self.geometry.cusp).seq
         if not is_sigma_symmetric(self.geometry, seq):
             raise ValueError(f"{seq} is not sigma-symmetric; nothing splits")
         object.__setattr__(self, "seq", seq)
@@ -222,9 +222,8 @@ def descend(geom: TpqGeometry, label: CMModuleLabel) -> list[TpqModuleLabel]:
     t = label.triple
     if t.lam in (1, -1) and is_sigma_symmetric(geom, t.seq):
         sign = int(t.lam)
-        return [_checked(TpqBranch, geometry=geom, seq=t.seq, m=t.m, sign=sign, branch=b)
-                for b in (1, 2)]
-    return [_checked(TpqSingle, geometry=geom, seq=t.seq, m=t.m, lam=t.lam)]
+        return [_checked(TpqBranch, geom, t.seq, t.m, sign, b) for b in (1, 2)]
+    return [_checked(TpqSingle, geom, t.seq, t.m, t.lam)]
 
 
 def tpq_iso(geom: TpqGeometry, a: TpqModuleLabel, b: TpqModuleLabel) -> bool:

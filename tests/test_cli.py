@@ -334,3 +334,28 @@ def test_long_cycles_give_a_result_or_a_structured_error(capsys, argv):
     else:
         assert code == 2 and len(lines) == 1
         assert json.loads(lines[0])["error"]["kind"] == "invalid_input"
+
+
+LONG_CYCLE_B = ",".join(["1"] + ["0"] * 1199)
+
+
+def test_a_long_cycle_enumerates_in_a_fresh_interpreter():
+    # The candidate walk is deeper than the default recursion limit here.
+    proc = subprocess.run(
+        [sys.executable, "-m", "cuspcm.cli", "enumerate", "--s", "1200",
+         "--b", LONG_CYCLE_B, "--rank", "1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout[:200]
+    assert len(json.loads(proc.stdout)["families"]) == 1201
+
+
+def test_a_long_cycle_quiver_in_a_fresh_interpreter():
+    proc = subprocess.run(
+        [sys.executable, "-m", "cuspcm.cli", "tpq-quiver", "--p", "3", "--q", "1500",
+         "--depth", "1", "--max-base-rank", "1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout[:200]
+    assert proc.stdout.startswith("digraph ")
+    assert proc.stdout.rstrip().endswith("}")

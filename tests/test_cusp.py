@@ -18,6 +18,7 @@ from cuspcm import (
     BundleTriple,
     CMModuleLabel,
     CuspGeometry,
+    FamilyDescriptor,
     KahnViolation,
     LambdaBase,
     SSeq,
@@ -290,3 +291,40 @@ def test_enumerate_rank_leaves_no_garbage_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ------------------------------------------------------------ long cycles
+
+
+def one_weight(s):
+    """The cycle of s lines with one weight 1.  Its rank-1 families are the
+    zero sequence and the s sequences of length s with a single entry 1."""
+    return CuspGeometry(s, (1,) + (0,) * (s - 1))
+
+
+@pytest.mark.parametrize("s", [2, 10, 50, 300])
+def test_one_weight_rank_one_count(s):
+    assert len(enumerate_rank(one_weight(s), 1).families) == s + 1
+
+
+def test_a_cycle_longer_than_the_recursion_limit():
+    piece = enumerate_rank(one_weight(1200), 1)
+    assert len(piece.families) == 1201
+
+
+@pytest.mark.parametrize(
+    "b,ranks",
+    [(b, range(1, r_max + 1)) for b, r_max in GROWTH_BOXES] + [((1, 1, 0), [5])],
+    ids=str,
+)
+def test_enumerated_families_are_publicly_constructible(b, ranks):
+    # The enumeration builds its sequences past the public check; each must
+    # be what that check would have built.
+    geom = CuspGeometry(len(b), b)
+    for rank in ranks:
+        for fam in enumerate_rank(geom, rank).families:
+            entries = fam.seq.entries
+            assert type(entries) is tuple
+            assert all(type(e) is int for e in entries)
+            assert fam.seq == SSeq(geom.s, entries)
+            assert fam == FamilyDescriptor(fam.seq, fam.m, fam.base, rank)

@@ -248,6 +248,21 @@ def test_tpq_tube_ids_are_the_label_strings(p, q):
     assert any(t.period == 2 for t in quiver.tubes)
 
 
+@pytest.mark.parametrize("p,q", [(3, 8), (4, 6), (5, 6)])
+def test_tpq_tube_formats_its_base_once(p, q, monkeypatch):
+    # Every id of a tube is made from one text of its base sequence.
+    calls = []
+    real = SSeq.__str__
+
+    def counted(seq):
+        calls.append(seq)
+        return real(seq)
+
+    monkeypatch.setattr(SSeq, "__str__", counted)
+    quiver = tpq_quiver(geometry_of(p, q), depth=5, max_base_rank=4)
+    assert len(calls) == len(quiver.tubes)
+
+
 def test_tpq_single_tube_shape():
     quiver = tpq_quiver(G38, depth=2, bases=[(SSeq(2, (1, 2)), 3)])
     assert [n.id for n in quiver.nodes] == ["N([1,2],1,3)", "N([1,2],2,3)"]

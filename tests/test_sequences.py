@@ -5,6 +5,7 @@ rotations of a sequence and take set minima / dedup directly.
 """
 
 import gc
+import random
 from itertools import product
 
 import pytest
@@ -29,6 +30,18 @@ def brute_aperiodic(s, entries):
         if n % period == 0 and entries == entries[:period] * (n // period):
             return False
     return True
+
+
+def reference_canonical_form(seq):
+    """canonical_form as it was first written: every rotation built by
+    concatenation, the sequence itself returned when no rotation is less."""
+    e = seq.entries
+    best = e
+    for cut in range(seq.s, len(e), seq.s):
+        rot = e[cut:] + e[:cut]
+        if rot < best:
+            best = rot
+    return seq if best is e else SSeq(seq.s, best)
 
 
 def brute_enumerate(s, max_r, lo, hi):
@@ -134,6 +147,28 @@ def test_canonical_returns_a_least_sequence_itself():
     assert canonical_form(rotated) is not rotated
 
 
+def seeded_sequences(seed, count):
+    """Random sequences with s in {1, 2, 3}; every third one repeats a
+    shorter word, so periodic sequences are among them."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        s = rng.randint(1, 3)
+        word = tuple(rng.randint(-2, 2) for _ in range(s * rng.randint(1, 3)))
+        out.append(SSeq(s, word * (rng.randint(2, 3) if k % 3 == 0 else 1)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_canonical_matches_the_reference(seed):
+    for seq in seeded_sequences(seed, 400):
+        want = reference_canonical_form(seq)
+        got = canonical_form(seq)
+        assert got == want, seq
+        assert (got is seq) == (want is seq), seq
+        assert type(got.entries) is tuple
+
+
 # -------------------------------------------------- enumerate_canonical
 
 
@@ -161,6 +196,15 @@ def test_enumerate_rejects_bad_ranges():
         enumerate_canonical(1, 0, 0, 1)
     with pytest.raises(ValueError):
         enumerate_canonical(0, 1, 0, 1)
+    for lo, hi in [(0, 1.5), (0.0, 1), (False, True)]:
+        with pytest.raises(ValueError):
+            enumerate_canonical(1, 2, lo, hi)
+
+
+def test_enumerated_sequences_are_publicly_constructible():
+    for seq in enumerate_canonical(2, 3, -1, 1):
+        assert all(type(e) is int for e in seq.entries)
+        assert seq == SSeq(2, seq.entries)
 
 
 @pytest.mark.parametrize(

@@ -218,12 +218,28 @@ def test_descend_checks_symmetry_once_and_nothing_else(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     for module, name in [(tpq, "is_sigma_symmetric"), (tpq, "canonical_form"),
-                         (tpq, "classify_label"), (cusp, "canonical_form"),
+                         (tpq, "_canonical_triple"), (cusp, "canonical_form"),
                          (cusp, "is_aperiodic"), (cusp, "classify_label")]:
         counting(module, name)
     got = descend(G38, lab)
     assert [str(g) for g in got] == ["N1([1,0],1,-1)", "N2([1,0],1,-1)"]
     assert calls == ["is_sigma_symmetric"]
+
+
+def test_curve_labels_check_without_the_rank(monkeypatch):
+    # A curve label has no rank, so its check computes none.
+    calls = []
+    real = cusp.module_rank
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cusp, "module_rank", counted)
+    single = TpqSingle(G38, SSeq(2, (3, 4, 1, 2)), 1, Fraction(5))
+    branch = TpqBranch(G38, SSeq(2, (1, 0)), 1, -1, 2)
+    assert (str(single), str(branch)) == ("N([1,2,3,4],1,5)", "N2([1,0],1,-1)")
+    assert calls == []
 
 
 def test_descend_rejects_other_geometry():
