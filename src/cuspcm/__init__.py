@@ -5,137 +5,60 @@ Cohen-Macaulay modules over these singularities through the combinatorics
 of degree sequences on a cycle of projective lines, checks the closed-form
 cohomology counts against an exact linear-algebra oracle, and lays out the
 Auslander-Reiten quivers tube by tube.
+
+The exported names load lazily: `import cuspcm` imports no submodule, and
+the first use of a name imports the one that defines it.
 """
 
-from .cohomology import (
-    BundleTriple,
-    CohomReport,
-    CuspGeometry,
-    KahnViolation,
-    cohom_dims,
-    delta,
-    kahn_condition,
-    module_rank,
-    n_global,
-    theta,
-    twist_by_cycle,
-)
-from .cusp import (
-    CMModuleLabel,
-    FamilyDescriptor,
-    GrowthTable,
-    LambdaBase,
-    RankSlice,
-    classify_label,
-    enumerate_rank,
-    family_counts,
-    free_label,
-)
-from .oracle import (
-    GridReport,
-    OracleSpace,
-    VerifyReport,
-    build_presentation,
-    oracle_dims,
-    rank_of_h,
-    verify_formula,
-    verify_grid,
-)
-from .quiver import (
-    ARQuiver,
-    ARSequence,
-    QuiverArrow,
-    QuiverNode,
-    Tube,
-    ar_sequence,
-    build_tube,
-    cusp_quiver,
-    export_dot,
-    quiver_to_dict,
-    tpq_quiver,
-)
-from .sequences import (
-    SSeq,
-    canonical_form,
-    enumerate_canonical,
-    is_aperiodic,
-    shift_by,
-)
-from .tpq import (
-    TpqBranch,
-    TpqCase,
-    TpqFree,
-    TpqGeometry,
-    TpqKind,
-    TpqModuleLabel,
-    TpqSingle,
-    apply_sigma,
-    descend,
-    geometry_of,
-    is_sigma_symmetric,
-    sigma_of_module,
-    tpq_iso,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SSeq",
-    "shift_by",
-    "is_aperiodic",
-    "canonical_form",
-    "enumerate_canonical",
-    "KahnViolation",
-    "BundleTriple",
-    "CuspGeometry",
-    "CohomReport",
-    "theta",
-    "delta",
-    "cohom_dims",
-    "kahn_condition",
-    "twist_by_cycle",
-    "n_global",
-    "module_rank",
-    "OracleSpace",
-    "build_presentation",
-    "rank_of_h",
-    "oracle_dims",
-    "VerifyReport",
-    "verify_formula",
-    "GridReport",
-    "verify_grid",
-    "LambdaBase",
-    "CMModuleLabel",
-    "FamilyDescriptor",
-    "RankSlice",
-    "GrowthTable",
-    "free_label",
-    "classify_label",
-    "enumerate_rank",
-    "family_counts",
-    "TpqCase",
-    "TpqGeometry",
-    "TpqKind",
-    "TpqModuleLabel",
-    "TpqFree",
-    "TpqSingle",
-    "TpqBranch",
-    "geometry_of",
-    "apply_sigma",
-    "is_sigma_symmetric",
-    "sigma_of_module",
-    "descend",
-    "tpq_iso",
-    "QuiverNode",
-    "QuiverArrow",
-    "Tube",
-    "ARQuiver",
-    "ARSequence",
-    "ar_sequence",
-    "build_tube",
-    "cusp_quiver",
-    "tpq_quiver",
-    "export_dot",
-    "quiver_to_dict",
-    "__version__",
-]
+# Submodule -> the names the package exports from it.
+_EXPORTS = {
+    "sequences": (
+        "SSeq", "shift_by", "is_aperiodic", "canonical_form", "enumerate_canonical",
+    ),
+    "cohomology": (
+        "KahnViolation", "BundleTriple", "CuspGeometry", "CohomReport", "theta",
+        "delta", "cohom_dims", "kahn_condition", "twist_by_cycle", "n_global",
+        "module_rank",
+    ),
+    "oracle": (
+        "OracleSpace", "build_presentation", "rank_of_h", "oracle_dims",
+        "VerifyReport", "verify_formula", "GridReport", "verify_grid",
+    ),
+    "cusp": (
+        "LambdaBase", "CMModuleLabel", "FamilyDescriptor", "RankSlice",
+        "GrowthTable", "free_label", "classify_label", "enumerate_rank",
+        "family_counts",
+    ),
+    "tpq": (
+        "TpqCase", "TpqGeometry", "TpqKind", "TpqModuleLabel", "TpqFree",
+        "TpqSingle", "TpqBranch", "geometry_of", "apply_sigma",
+        "is_sigma_symmetric", "sigma_of_module", "descend", "tpq_iso",
+    ),
+    "quiver": (
+        "QuiverNode", "QuiverArrow", "Tube", "ARQuiver", "ARSequence",
+        "ar_sequence", "build_tube", "cusp_quiver", "tpq_quiver", "export_dot",
+        "quiver_to_dict",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule; importing it binds it here
+        return import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

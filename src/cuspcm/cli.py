@@ -10,7 +10,9 @@ before the next read.
 
 Every subcommand is one entry of `COMMANDS`; `build_parser` and `_run`
 serve them all.  The flags of a single-shot run become the record a batch
-line would give, so one field parser (`_read`) checks both.
+line would give, so one field parser (`_read`) checks both.  This module
+imports only `sequences` and `cohomology` up front; a command imports the
+other library modules it uses when `_run` binds it, once per `main` call.
 
 Exit codes: 0 on success, 2 on a validation or usage error.
 """
@@ -24,21 +26,17 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, TextIO
 
+from . import __version__
 from .cohomology import (
     BundleTriple, CohomReport, CuspGeometry, KahnViolation, cohom_dims,
 )
-from .cusp import (
-    CMModuleLabel, classify_label, enumerate_rank, family_counts, free_label,
-)
-from .oracle import verify_formula, verify_grid
-from .quiver import cusp_quiver, export_dot, quiver_to_dict, tpq_quiver
 from .sequences import SSeq, canonical_form, is_aperiodic
-from .tpq import (
-    TpqFree, TpqModuleLabel, TpqSingle, apply_sigma, descend, geometry_of,
-    is_sigma_symmetric,
-)
+
+if TYPE_CHECKING:
+    from .cusp import CMModuleLabel
+    from .tpq import TpqModuleLabel
 
 _SEQ_RE = re.compile(r"-?\d+(,-?\d+)*")
 _LAMBDA_RE = re.compile(r"(-?\d+)(/(-?\d+))?")
@@ -145,22 +143,32 @@ def _label_dict(label: CMModuleLabel) -> dict:
 
 
 def _tpq_label_dict(label: TpqModuleLabel) -> dict:
-    if isinstance(label, TpqFree):
-        return {"kind": "free"}
-    out = {"kind": label.kind.value, "seq": list(label.seq.entries), "m": label.m}
-    if isinstance(label, TpqSingle):
+    kind = label.kind.value
+    if kind == "free":
+        return {"kind": kind}
+    out = {"kind": kind, "seq": list(label.seq.entries), "m": label.m}
+    if kind == "single":
         out["lam"] = str(label.lam)
     else:
         out.update(sign=label.sign, branch=label.branch)
     return out
 
 
-def _verify(args: argparse.Namespace, _geom: None, triple: BundleTriple | None):
-    if triple is None:
-        return _verify_grid(args.grid)
-    r = verify_formula(triple)
-    return {"agree": r.agree, "formula": _report_dict(r.formula),
-            "oracle": _report_dict(r.oracle)}
+# The run step of each command: given the flags and the geometry, it imports
+# what the command uses and gives the function that answers one input.
+
+
+def _verify(args: argparse.Namespace, _geom: None) -> Callable:
+    from .oracle import verify_formula
+
+    def answer(triple: BundleTriple | None) -> dict:
+        if triple is None:
+            return _verify_grid(args.grid)
+        r = verify_formula(triple)
+        return {"agree": r.agree, "formula": _report_dict(r.formula),
+                "oracle": _report_dict(r.oracle)}
+
+    return answer
 
 
 def _grid_int(key: str, text: str) -> int:
@@ -171,6 +179,8 @@ def _grid_int(key: str, text: str) -> int:
 
 
 def _verify_grid(tokens: Sequence[str]) -> dict:
+    from .oracle import verify_grid  # verify takes no --batch: once per main
+
     # verify_grid skips every s above rs_max.
     spec: dict = {"s_values": (1, 2, 3), "rs_max": 4, "lo": -2, "hi": 2,
                   "m_values": (1, 2), "lambdas": (1, -1, 2)}
@@ -204,41 +214,87 @@ def _verify_grid(tokens: Sequence[str]) -> dict:
     return result
 
 
-def _enumerate(args: argparse.Namespace, geom, _input: None) -> dict:
-    piece = enumerate_rank(geom, args.rank)
-    return {
-        "rank": piece.rank,
-        "free": piece.free,
-        "families": [
-            {"seq": list(f.seq.entries), "m": f.m, "base": f.base.value, "rank": f.rank}
-            for f in piece.families
-        ],
-        "exceptional": [_label_dict(lab) for lab in piece.exceptional],
+def _classify(_args: argparse.Namespace, geom) -> Callable:
+    from .cusp import classify_label
+
+    return lambda triple: _label_dict(classify_label(triple, geom))
+
+
+def _enumerate(args: argparse.Namespace, geom) -> Callable:
+    from .cusp import enumerate_rank
+
+    def answer(_input: None) -> dict:
+        piece = enumerate_rank(geom, args.rank)
+        return {
+            "rank": piece.rank,
+            "free": piece.free,
+            "families": [
+                {"seq": list(f.seq.entries), "m": f.m, "base": f.base.value,
+                 "rank": f.rank}
+                for f in piece.families
+            ],
+            "exceptional": [_label_dict(lab) for lab in piece.exceptional],
+        }
+
+    return answer
+
+
+def _growth(args: argparse.Namespace, geom) -> Callable:
+    from .cusp import family_counts
+
+    def answer(_input: None) -> dict:
+        table = family_counts(geom, args.r_max)
+        counts = [{"rank": r, "families": n} for r, n in sorted(table.counts.items())]
+        exceptional = [
+            {"rank": r, "labels": [_label_dict(lab) for lab in labs]}
+            for r, labs in sorted(table.exceptional.items())
+            if labs
+        ]
+        return {"counts": counts, "exceptional": exceptional}
+
+    return answer
+
+
+def _quiver(args: argparse.Namespace, geom) -> Callable:
+    from .quiver import cusp_quiver
+
+    return lambda _input: cusp_quiver(
+        geom, args.max_base_rank, args.depth, _lambdas(args.lambdas)
+    )
+
+
+def _tpq_sigma(_args: argparse.Namespace, geom) -> Callable:
+    from .tpq import apply_sigma, is_sigma_symmetric
+
+    return lambda seq: {
+        "sigma": list(apply_sigma(geom, seq).entries),
+        "sigma_symmetric": is_sigma_symmetric(geom, seq),
     }
 
 
-def _growth(args: argparse.Namespace, geom, _input: None) -> dict:
-    table = family_counts(geom, args.r_max)
-    counts = [{"rank": r, "families": n} for r, n in sorted(table.counts.items())]
-    exceptional = [
-        {"rank": r, "labels": [_label_dict(lab) for lab in labs]}
-        for r, labs in sorted(table.exceptional.items())
-        if labs
-    ]
-    return {"counts": counts, "exceptional": exceptional}
+def _tpq_descend(_args: argparse.Namespace, geom) -> Callable:
+    from .cusp import classify_label, free_label
+    from .tpq import descend
 
-
-def _tpq_descend(_args: argparse.Namespace, geom, triple: BundleTriple | None):
     cusp = geom.cusp
-    label = free_label(cusp) if triple is None else classify_label(triple, cusp)
-    return {"labels": [_tpq_label_dict(lab) for lab in descend(geom, label)]}
+
+    def answer(triple: BundleTriple | None) -> dict:
+        label = free_label(cusp) if triple is None else classify_label(triple, cusp)
+        return {"labels": [_tpq_label_dict(lab) for lab in descend(geom, label)]}
+
+    return answer
 
 
-def _tpq_quiver(args: argparse.Namespace, geom, base: tuple | None):
-    if base is not None:
-        return tpq_quiver(geom, args.depth, bases=[base])
-    return tpq_quiver(geom, args.depth, max_base_rank=args.max_base_rank,
-                      lambdas=_lambdas(args.lambdas))
+def _tpq_quiver(args: argparse.Namespace, geom) -> Callable:
+    from .quiver import tpq_quiver
+
+    def answer(base: tuple | None):
+        if base is not None:
+            return tpq_quiver(geom, args.depth, bases=[base])
+        return tpq_quiver(geom, args.depth, max_base_rank=args.max_base_rank,
+                          lambdas=_lambdas(args.lambdas))
+
+    return answer
 
 
 def _yes(flag: bool) -> str:
@@ -297,6 +353,8 @@ def _cusp(args: argparse.Namespace):
 
 
 def _tpq(args: argparse.Namespace):
+    from .tpq import geometry_of
+
     geom = geometry_of(args.p, args.q)
     return geom, geom.cusp.s
 
@@ -316,7 +374,8 @@ class Command:
     help: str
     flags: tuple[tuple[str, dict], ...]  # (flag, add_argument keywords)
     setup: Callable[[argparse.Namespace], tuple[Any, int]]  # (geometry, s)
-    run: Callable[[argparse.Namespace, Any, Any], Any]  # (args, geometry, input)
+    # (args, geometry) -> the function that answers one input
+    run: Callable[[argparse.Namespace, Any], Callable[[Any], Any]]
     rows: Callable[[dict], list[tuple[str, str]]] | None  # None: DOT, not table
     fields: tuple[str, ...] = ()  # the input, from the flags or a batch line
     skip_if: str | None = None  # a flag that, when given, stands in for fields
@@ -349,7 +408,7 @@ _GRID = _flag(
 COMMANDS = (
     Command(
         "canon", "canonical rotation and aperiodicity", (_S, _SEQ, _BATCH), _plain,
-        lambda _a, _g, seq: {
+        lambda _a, _g: lambda seq: {
             "canonical": list(canonical_form(seq).entries),
             "aperiodic": is_aperiodic(seq),
         },
@@ -357,7 +416,8 @@ COMMANDS = (
     ),
     Command(
         "cohom", "closed-form h0/h1 of a bundle triple", (_S, _SEQ, _M, _LAM, _BATCH),
-        _plain, lambda _a, _g, t: _report_dict(cohom_dims(t)), _str_rows, _TRIPLE,
+        _plain, lambda _a, _g: lambda t: _report_dict(cohom_dims(t)), _str_rows,
+        _TRIPLE,
     ),
     Command(
         "verify", "check the formulas against the oracle",
@@ -367,7 +427,7 @@ COMMANDS = (
     ),
     Command(
         "classify", "label the CM module of a triple", (_S, _B, _SEQ, _M, _LAM, _BATCH),
-        _cusp, lambda _a, g, t: _label_dict(classify_label(t, g)), _str_rows, _TRIPLE,
+        _cusp, _classify, _str_rows, _TRIPLE,
     ),
     Command(
         "enumerate", "all indecomposables of one rank",
@@ -385,13 +445,11 @@ COMMANDS = (
         "quiver", "cusp AR quiver as DOT or JSON",
         (_S, _B, _flag("--max-base-rank", "largest tube base rank", type=int,
                        required=True), _DEPTH, _LAMBDAS),
-        _cusp,
-        lambda a, g, _i: cusp_quiver(g, a.max_base_rank, a.depth, _lambdas(a.lambdas)),
-        None,
+        _cusp, _quiver, None,
     ),
     Command(
         "tpq-geometry", "cycle weights of the T_pq double cover", (_P, _Q), _tpq,
-        lambda _a, g, _i: {
+        lambda _a, g: lambda _i: {
             "p": g.p, "q": g.q, "s": g.cusp.s, "b": list(g.cusp.b), "t": g.t,
             "case": g.case_tag.value,
         },
@@ -399,12 +457,7 @@ COMMANDS = (
     ),
     Command(
         "tpq-sigma", "reflect a sequence by the deck involution",
-        (_P, _Q, _SEQ, _BATCH), _tpq,
-        lambda _a, g, seq: {
-            "sigma": list(apply_sigma(g, seq).entries),
-            "sigma_symmetric": is_sigma_symmetric(g, seq),
-        },
-        _joined_rows, ("seq",),
+        (_P, _Q, _SEQ, _BATCH), _tpq, _tpq_sigma, _joined_rows, ("seq",),
     ),
     Command(
         "tpq-descend", "CM modules over the curve below a label",
@@ -501,20 +554,28 @@ def _batch(answer: Callable[[dict], Any]) -> None:
 
 def _run(cmd: Command, args: argparse.Namespace) -> int:
     geom, s = cmd.setup(args)
+    # Bound here, once per call of main, so that a library function replaced
+    # between calls (as a tracer does) is the one that answers.
+    answer = cmd.run(args, geom)
     fields = cmd.fields
     if cmd.skip_if is not None and getattr(args, cmd.skip_if) is not None:
         fields = ()
     if getattr(args, "batch", False):
-        _batch(lambda record: cmd.run(args, geom, _read(record, fields, s)))
+        _batch(lambda record: answer(_read(record, fields, s)))
         return 0
     value = _read(_flag_record(args, fields), fields, s) if fields else None
-    result = cmd.run(args, geom, value)
+    result = answer(value)
     if args.format == "table":
         _print_table(cmd.rows(result))
-    elif args.format == "dot":
-        sys.stdout.write(export_dot(result))
-    else:
-        _emit(result if cmd.rows else quiver_to_dict(result))
+    elif cmd.rows:
+        _emit(result)
+    else:  # a quiver
+        from .quiver import export_dot, quiver_to_dict
+
+        if args.format == "dot":
+            sys.stdout.write(export_dot(result))
+        else:
+            _emit(quiver_to_dict(result))
     # verify reports a failed check in its result ("ok" or "agree") and exits 2.
     failed = cmd.rows is not None and False in (result.get("ok"), result.get("agree"))
     return 2 if failed else 0
@@ -529,6 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
             "classification, enumeration and AR quivers."
         ),
     )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for cmd in COMMANDS:
         p = sub.add_parser(cmd.name, help=cmd.help)

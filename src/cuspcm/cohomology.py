@@ -80,6 +80,8 @@ class CuspGeometry:
 
     def __post_init__(self) -> None:
         b = tuple(self.b)
+        if type(self.s) is not int:  # bool and float are rejected, as for weights
+            raise ValueError(f"component count must be an integer, got {self.s!r}")
         if self.s < 1:
             raise ValueError(f"component count must be positive, got {self.s}")
         if len(b) != self.s:

@@ -258,6 +258,8 @@ def enumerate_rank(geom: CuspGeometry, rank: int) -> RankSlice:
     search for the exact section count rank/m - r.  A sequence has one
     section count, so its m is unique and each r sorts by sequence alone.
     """
+    if type(rank) is not int:  # bool and float are rejected
+        raise ValueError(f"rank must be an integer, got {rank!r}")
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
     s = geom.s
@@ -293,6 +295,8 @@ def enumerate_rank(geom: CuspGeometry, rank: int) -> RankSlice:
 
 def family_counts(geom: CuspGeometry, r_max: int) -> GrowthTable:
     """Number of rank-r families for r = 1..r_max, plus the lone modules."""
+    if type(r_max) is not int:  # bool and float are rejected
+        raise ValueError(f"r_max must be an integer, got {r_max!r}")
     if r_max < 1:
         raise ValueError(f"r_max must be positive, got {r_max}")
     counts: dict[int, int] = {}

@@ -36,6 +36,8 @@ class SSeq:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.s) is not int:  # bool and float are rejected, as for entries
+            raise ValueError(f"component count must be an integer, got {self.s!r}")
         if self.s < 1:
             raise ValueError(f"component count must be positive, got {self.s}")
         entries = tuple(self.entries)
@@ -118,8 +120,11 @@ def enumerate_canonical(s: int, max_r: int, lo: int, hi: int) -> list[SSeq]:
     and a prenecklace of length n is Lyndon exactly when p == n.
 
     Raises:
-        ValueError: for s < 1, an empty entry range (lo > hi) or max_r < 1.
+        ValueError: for s < 1, an empty entry range (lo > hi), max_r < 1
+            or an argument that is not an int.
     """
+    if type(s) is not int or type(max_r) is not int:
+        raise ValueError(f"s and max_r must be integers, got {s!r} and {max_r!r}")
     if s < 1:
         raise ValueError(f"component count must be positive, got {s}")
     if max_r < 1:

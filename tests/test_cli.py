@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+import cuspcm
+from cuspcm import cusp, tpq
 from cuspcm.cli import main, parse_lambda, parse_seq
 
 
@@ -279,6 +281,42 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == '{"canonical":[1,2,3,4],"aperiodic":true}\n'
+
+
+def test_version():
+    proc = subprocess.run([sys.executable, "-m", "cuspcm.cli", "--version"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == f"cuspcm {cuspcm.__version__}\n" == "cuspcm 0.1.0\n"
+
+
+@pytest.mark.parametrize(
+    "argv,seqs,module,name",
+    [
+        (["classify", "--s", "1", "--b", "1", "--batch"], [[d] for d in range(1, 6)],
+         cusp, "classify_label"),
+        (["tpq-descend", "--p", "3", "--q", "8", "--batch"],
+         [[d, 0] for d in range(1, 6)], tpq, "descend"),
+    ],
+    ids=["classify", "tpq-descend"],
+)
+def test_a_function_replaced_between_main_calls_answers_every_record(
+    capsys, monkeypatch, argv, seqs, module, name
+):
+    # A tracer wraps library functions between two calls of main; the second
+    # call must go through the wrappers, not through functions bound before.
+    lines = [json.dumps({"seq": seq, "m": 1, "lambda": 2}) for seq in seqs]
+    first = run_batch(capsys, monkeypatch, argv, lines)
+    assert first[0] == 0 and "error" not in first[1]
+    real, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    assert run_batch(capsys, monkeypatch, argv, lines) == first
+    assert len(calls) == len(lines)
 
 
 # ------------------------------------------------------- robustness

@@ -61,6 +61,18 @@ def test_the_value_layer_rejects_bool_for_int(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: SSeq(1.0, (1, 2)), lambda: SSeq(True, (1,)),
+     lambda: CuspGeometry(1.0, (1,)), lambda: CuspGeometry(True, (1,))],
+    ids=["sseq-float", "sseq-bool", "geometry-float", "geometry-bool"],
+)
+def test_the_value_layer_rejects_a_non_int_component_count(make):
+    # SSeq(1.0, (1, 2)) used to be accepted, with r == 2.0.
+    with pytest.raises(ValueError, match="component count must be an integer"):
+        make()
+
+
 def test_cusp_geometry_validation():
     assert CuspGeometry(1, (1,)).b_sequence == SSeq(1, (1,))
     assert CuspGeometry(3, (1, 0, 0)).b == (1, 0, 0)

@@ -214,6 +214,15 @@ def test_rank_zero_rejected():
         enumerate_rank(B1, 0)
 
 
+@pytest.mark.parametrize("rank", [2.0, 2.5, True])
+def test_a_non_int_rank_is_a_value_error(rank):
+    # A float rank used to end in a bare TypeError inside the search.
+    with pytest.raises(ValueError, match="rank must be an integer"):
+        enumerate_rank(B1, rank)
+    with pytest.raises(ValueError, match="r_max must be an integer"):
+        family_counts(B1, rank)
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_families_agree_with_brute_force(rank):
     got = sorted((f.seq.entries, f.m) for f in enumerate_rank(B1, rank).families)

@@ -199,6 +199,9 @@ def test_enumerate_rejects_bad_ranges():
     for lo, hi in [(0, 1.5), (0.0, 1), (False, True)]:
         with pytest.raises(ValueError):
             enumerate_canonical(1, 2, lo, hi)
+    for s, max_r in [(1.0, 2), (True, 2), (1, 2.0), (1, True)]:
+        with pytest.raises(ValueError, match="must be integers"):
+            enumerate_canonical(s, max_r, 0, 1)
 
 
 def test_enumerated_sequences_are_publicly_constructible():
