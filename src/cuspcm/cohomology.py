@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .sequences import SSeq
+from .sequences import SSeq, _count
 
 __all__ = [
     "KahnViolation",
@@ -39,6 +39,20 @@ class KahnViolation(ValueError):
     """No Cohen-Macaulay module exists for the requested parameters."""
 
 
+def _scalar(lam: Fraction | int | str) -> Fraction:
+    # The one scalar rule: a nonzero exact rational, coerced by Fraction once.
+    lam = lam if type(lam) is Fraction else Fraction(lam)
+    if lam == 0:
+        raise ValueError("lam must be a nonzero rational")
+    return lam
+
+
+def _same_s(seq: SSeq, geom: CuspGeometry) -> None:
+    # The one rule that ties a sequence to a geometry: the same cycle.
+    if seq.s != geom.s:
+        raise ValueError(f"sequence has s={seq.s} but the geometry has s={geom.s}")
+
+
 @dataclass(frozen=True)
 class BundleTriple:
     """Parameters (d, m, lam) of an indecomposable bundle on the cycle.
@@ -54,14 +68,8 @@ class BundleTriple:
     lam: Fraction
 
     def __post_init__(self) -> None:
-        if type(self.m) is not int:  # bool is an int subclass: rejected too
-            raise ValueError(f"multiplicity must be an integer, got {self.m!r}")
-        if self.m < 1:
-            raise ValueError(f"multiplicity must be positive, got {self.m}")
-        lam = self.lam if type(self.lam) is Fraction else Fraction(self.lam)
-        if lam == 0:
-            raise ValueError("lam must be a nonzero rational")
-        object.__setattr__(self, "lam", lam)
+        _count("multiplicity", self.m)
+        object.__setattr__(self, "lam", _scalar(self.lam))
 
     def __str__(self) -> str:
         return f"({self.seq},{self.m},{self.lam})"
@@ -80,10 +88,7 @@ class CuspGeometry:
 
     def __post_init__(self) -> None:
         b = tuple(self.b)
-        if type(self.s) is not int:  # bool and float are rejected, as for weights
-            raise ValueError(f"component count must be an integer, got {self.s!r}")
-        if self.s < 1:
-            raise ValueError(f"component count must be positive, got {self.s}")
+        _count("component count", self.s)
         if len(b) != self.s:
             raise ValueError(f"expected {self.s} weights, got {len(b)}")
         if any(type(w) is not int for w in b):
@@ -152,10 +157,8 @@ def _dims(e: Sequence[int], m: int, lam: Fraction) -> tuple[int, int, int, int]:
 
 
 def delta(seq: SSeq, lam: Fraction | int | str) -> int:
-    """1 exactly for the zero sequence with lam = 1, else 0."""
-    if any(v != 0 for v in seq.entries):
-        return 0
-    return 1 if Fraction(lam) == 1 else 0
+    """1 exactly for the zero sequence with lam = 1, else 0; lam = 0 raises."""
+    return 1 if _scalar(lam) == 1 and not any(seq.entries) else 0
 
 
 def cohom_dims(triple: BundleTriple) -> CohomReport:
@@ -195,10 +198,7 @@ def twist_by_cycle(seq: SSeq, geom: CuspGeometry) -> SSeq:
 
 
 def _twist(seq: SSeq, geom: CuspGeometry) -> list[int]:
-    if seq.s != geom.s:
-        raise ValueError(
-            f"sequence has s={seq.s} but the geometry has s={geom.s}"
-        )
+    _same_s(seq, geom)
     return [v - w for v, w in zip(seq.entries, geom.b * seq.r)]
 
 

@@ -17,17 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from operator import attrgetter
 
 from .cohomology import (
     BundleTriple,
     CuspGeometry,
+    _same_s,
     kahn_condition,
     kahn_violation,
     module_rank,
 )
-from .sequences import SSeq, _checked, canonical_form, is_aperiodic
+from .sequences import SSeq, _checked, _count, canonical_form, is_aperiodic
 
 __all__ = [
     "LambdaBase",
@@ -138,10 +138,7 @@ def classify_label(triple: BundleTriple, geom: CuspGeometry) -> CMModuleLabel:
 def _canonical_triple(triple: BundleTriple, geom: CuspGeometry) -> BundleTriple:
     # The label check without the rank: the component count, aperiodicity
     # and Kahn's test, then the canonical rotation of the same m and lam.
-    if triple.seq.s != geom.s:
-        raise ValueError(
-            f"sequence has s={triple.seq.s} but the geometry has s={geom.s}"
-        )
+    _same_s(triple.seq, geom)
     if not is_aperiodic(triple.seq):
         raise ValueError(f"periodic sequence {triple.seq} does not label a module")
     if not kahn_condition(triple):  # before canonicalising, to name this rotation
@@ -258,10 +255,7 @@ def enumerate_rank(geom: CuspGeometry, rank: int) -> RankSlice:
     search for the exact section count rank/m - r.  A sequence has one
     section count, so its m is unique and each r sorts by sequence alone.
     """
-    if type(rank) is not int:  # bool and float are rejected
-        raise ValueError(f"rank must be an integer, got {rank!r}")
-    if rank < 1:
-        raise ValueError(f"rank must be positive, got {rank}")
+    _count("rank", rank)
     s = geom.s
     special = ((0,) * s, geom.b)  # the families without lam = 1
     except_one, every = LambdaBase.NONZERO_EXCEPT_ONE, LambdaBase.ALL_NONZERO
@@ -282,9 +276,7 @@ def enumerate_rank(geom: CuspGeometry, rank: int) -> RankSlice:
         families += block
     exceptional: tuple[CMModuleLabel, ...] = ()
     if rank >= 2:
-        exceptional = (
-            classify_label(BundleTriple(geom.b_sequence, rank - 1, Fraction(1)), geom),
-        )
+        exceptional = (classify_label(BundleTriple(geom.b_sequence, rank - 1, 1), geom),)
     return RankSlice(
         rank=rank,
         free=rank == 1,
@@ -295,10 +287,7 @@ def enumerate_rank(geom: CuspGeometry, rank: int) -> RankSlice:
 
 def family_counts(geom: CuspGeometry, r_max: int) -> GrowthTable:
     """Number of rank-r families for r = 1..r_max, plus the lone modules."""
-    if type(r_max) is not int:  # bool and float are rejected
-        raise ValueError(f"r_max must be an integer, got {r_max!r}")
-    if r_max < 1:
-        raise ValueError(f"r_max must be positive, got {r_max}")
+    _count("r_max", r_max)
     counts: dict[int, int] = {}
     exceptional: dict[int, tuple[CMModuleLabel, ...]] = {}
     for rank in range(1, r_max + 1):

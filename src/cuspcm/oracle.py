@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .cohomology import BundleTriple, CohomReport, cohom_dims, delta
+from .cohomology import BundleTriple, CohomReport, _scalar, cohom_dims, delta
 from .sequences import SSeq, enumerate_canonical
 
 __all__ = [
@@ -288,12 +288,12 @@ def verify_grid(
     rk h = m*theta(d) - delta(d, lam).  Zero tolerance throughout.
 
     Raises:
-        ValueError: for an s below 1, a repeated s, m or lam (compared as
+        ValueError: for an s below 1, lam = 0, a repeated s, m or lam (compared as
             Fractions, so 2 and "4/2" repeat), or a box that holds no case.
     """
     if any(s < 1 for s in s_values):
         raise ValueError(f"s must be at least 1, got {min(s_values)}")
-    lams = tuple(Fraction(l) for l in lambdas)
+    lams = tuple(map(_scalar, lambdas))
     for name, values in (("s", s_values), ("m", m_values), ("lambda", lams)):
         seen: set = set()
         for v in values:

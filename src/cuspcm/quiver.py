@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .cohomology import BundleTriple, CuspGeometry
+from .cohomology import BundleTriple, CuspGeometry, _scalar
 from .cusp import (
     CMModuleLabel,
     LambdaBase,
@@ -29,7 +29,7 @@ from .cusp import (
     enumerate_rank,
     free_label,
 )
-from .sequences import SSeq, canonical_form
+from .sequences import SSeq, _count, canonical_form
 from .tpq import TpqFree, TpqGeometry, apply_sigma, is_sigma_symmetric
 
 __all__ = [
@@ -134,10 +134,13 @@ def build_tube(
     Only the bottom level is classified.  Levels 2..depth are derived from
     that checked label: the rank is affine in m along the tube,
     m*(r + c) + [seq = B and lam = 1].
+
+    Raises:
+        ValueError: for a depth that is not an int >= 1, lam = 0, or a base
+            point that classify_label rejects (KahnViolation: no module).
     """
-    if depth < 1:
-        raise ValueError(f"depth must be positive, got {depth}")
-    lam = Fraction(lam)
+    _count("depth", depth)
+    lam = _scalar(lam)
     bottom = classify_label(BundleTriple(seq, 1, lam), geom)
     labels = [bottom] + [_tube_level(bottom, m) for m in range(2, depth + 1)]
     nodes = [QuiverNode(id=str(lab), kind="module", rank=lab.rank) for lab in labels]
@@ -183,11 +186,8 @@ def _base_points(
 ) -> list[tuple[SSeq, Fraction]]:
     # Tube bases (seq, lam) whose bottom module has rank <= max_base_rank,
     # in (family rank, sequence length, sequence, lam) order.
-    if max_base_rank < 1:
-        raise ValueError(f"max_base_rank must be positive, got {max_base_rank}")
-    lams = sorted(set(Fraction(l) for l in lambdas))
-    if any(l == 0 for l in lams):
-        raise ValueError("lam must be nonzero")
+    _count("max_base_rank", max_base_rank)
+    lams = sorted(set(map(_scalar, lambdas)))
     points: list[tuple[SSeq, Fraction]] = []
     for rank in range(1, max_base_rank + 1):
         for fam in enumerate_rank(geom, rank).families:
@@ -217,6 +217,9 @@ def cusp_quiver(
     Tubes are indexed by (seq, lam) with lam drawn from the given sample
     values; parameter points where no module exists are skipped.  The
     result order is deterministic: by family rank, then sequence, then lam.
+
+    Raises:
+        ValueError: for a max_base_rank or depth not an int >= 1, or lam = 0.
     """
     return _merge(
         build_tube(geom, seq, lam, depth)
@@ -288,9 +291,13 @@ def tpq_quiver(
     cusp tube bases of that rank bound at the sampled lam values.  Bases in
     one sigma-orbit give the same tube downstairs, so each orbit is built
     once, from its first representative in order.
+
+    Raises:
+        ValueError: for a depth or max_base_rank not an int >= 1, not exactly
+            one of max_base_rank and bases, lam = 0, or a base that
+            classify_label rejects (KahnViolation: no module).
     """
-    if depth < 1:
-        raise ValueError(f"depth must be positive, got {depth}")
+    _count("depth", depth)
     if (bases is None) == (max_base_rank is None):
         raise ValueError("give exactly one of max_base_rank or bases")
     if bases is None:
@@ -298,11 +305,9 @@ def tpq_quiver(
     else:
         points = []
         for seq, lam in bases:
-            lam = Fraction(lam)
-            seq = canonical_form(seq)
             # Validate the base point through the cusp classification.
-            classify_label(BundleTriple(seq, 1, lam), geom.cusp)
-            points.append((seq, lam))
+            base = classify_label(BundleTriple(canonical_form(seq), 1, lam), geom.cusp)
+            points.append((base.triple.seq, base.triple.lam))
     seen: set[tuple[tuple[int, ...], Fraction]] = set()
     quivers: list[ARQuiver] = []
     for seq, lam in points:
@@ -311,7 +316,7 @@ def tpq_quiver(
         if key in seen or flip in seen:
             continue
         seen.add(key)
-        quivers.append(_tpq_tube(geom, seq, Fraction(lam), depth))
+        quivers.append(_tpq_tube(geom, seq, lam, depth))
     return _merge(quivers)
 
 

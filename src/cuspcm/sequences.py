@@ -36,10 +36,7 @@ class SSeq:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if type(self.s) is not int:  # bool and float are rejected, as for entries
-            raise ValueError(f"component count must be an integer, got {self.s!r}")
-        if self.s < 1:
-            raise ValueError(f"component count must be positive, got {self.s}")
+        _count("component count", self.s)
         entries = tuple(self.entries)
         if not entries:
             raise ValueError("sequence must be nonempty")
@@ -58,6 +55,15 @@ class SSeq:
 
     def __str__(self) -> str:
         return "[" + ",".join(str(e) for e in self.entries) + "]"
+
+
+def _count(name: str, value: object, positive: bool = True) -> None:
+    # The one count rule: exactly an int (bool and float are rejected), >= 1.
+    # A caller with a stronger lower bound passes positive=False and checks it.
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if positive and value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 _new, _set = object.__new__, object.__setattr__
@@ -120,15 +126,11 @@ def enumerate_canonical(s: int, max_r: int, lo: int, hi: int) -> list[SSeq]:
     and a prenecklace of length n is Lyndon exactly when p == n.
 
     Raises:
-        ValueError: for s < 1, an empty entry range (lo > hi), max_r < 1
-            or an argument that is not an int.
+        ValueError: for s or max_r not an int >= 1, entries lo or hi not
+            an int, or an empty entry range (lo > hi).
     """
-    if type(s) is not int or type(max_r) is not int:
-        raise ValueError(f"s and max_r must be integers, got {s!r} and {max_r!r}")
-    if s < 1:
-        raise ValueError(f"component count must be positive, got {s}")
-    if max_r < 1:
-        raise ValueError(f"max_r must be positive, got {max_r}")
+    _count("component count", s)
+    _count("max_r", max_r)
     if type(lo) is not int or type(hi) is not int:
         raise ValueError("sequence entries must be integers")
     if lo > hi:

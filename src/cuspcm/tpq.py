@@ -17,9 +17,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import ClassVar
 
-from .cohomology import BundleTriple, CuspGeometry, kahn_condition, kahn_violation
+from .cohomology import BundleTriple, CuspGeometry, _same_s
+from .cohomology import kahn_condition, kahn_violation
 from .cusp import CMModuleLabel, _canonical_triple
-from .sequences import SSeq, _checked, canonical_form
+from .sequences import SSeq, _checked, _count, canonical_form
 
 __all__ = [
     "TpqCase",
@@ -72,7 +73,12 @@ def geometry_of(p: int, q: int) -> TpqGeometry:
     shapes are b = (1, 0, ..., 0) with s = q - 6 for p = 3,
     b = (2, 0, ..., 0) with s = q - 4 for p = 4, and b_1 = b_t = 1 inside
     s = p + q - 8 zeros with t = p - 3 for p >= 5.
+
+    Raises:
+        ValueError: for a non-int p or q, p < 3, q < p, or 1/p + 1/q >= 1/2.
     """
+    _count("p", p, positive=False)
+    _count("q", q, positive=False)
     if p < 3:
         raise ValueError(f"p must be at least 3, got {p}")
     if q < p:
@@ -105,10 +111,7 @@ def apply_sigma(geom: TpqGeometry, seq: SSeq) -> SSeq:
     Entry i of the result is entry (axis + 1 - i) of the input, indices
     cyclic: the reflection of the index circle anchored at the axis.
     """
-    if seq.s != geom.cusp.s:
-        raise ValueError(
-            f"sequence has s={seq.s} but the geometry has s={geom.cusp.s}"
-        )
+    _same_s(seq, geom.cusp)
     e = seq.entries
     n = len(e)
     t = geom.axis

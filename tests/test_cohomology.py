@@ -16,15 +16,25 @@ from cuspcm import (
     CuspGeometry,
     KahnViolation,
     SSeq,
+    apply_sigma,
+    build_tube,
+    classify_label,
     cohom_dims,
+    cusp_quiver,
     delta,
+    enumerate_canonical,
+    enumerate_rank,
+    family_counts,
+    geometry_of,
     kahn_condition,
     module_rank,
     n_global,
     oracle_dims,
     shift_by,
     theta,
+    tpq_quiver,
     twist_by_cycle,
+    verify_grid,
 )
 from test_sequences import sseqs
 
@@ -61,15 +71,74 @@ def test_the_value_layer_rejects_bool_for_int(make):
         make()
 
 
+B1 = CuspGeometry(1, (1,))
+
+# Every count of the public API, as (id, call with the count, the name its
+# error uses).  A count is exactly an int >= 1 wherever it comes in.
+COUNTS = [
+    ("sseq", lambda v: SSeq(v, (1, 2)), "component count"),
+    ("geometry", lambda v: CuspGeometry(v, (1,)), "component count"),
+    ("triple", lambda v: BundleTriple(SSeq(1, (1,)), v, 2), "multiplicity"),
+    ("enumerate-s", lambda v: enumerate_canonical(v, 2, 0, 1), "component count"),
+    ("enumerate-max_r", lambda v: enumerate_canonical(1, v, 0, 1), "max_r"),
+    ("rank", lambda v: enumerate_rank(B1, v), "rank"),
+    ("r_max", lambda v: family_counts(B1, v), "r_max"),
+    ("tube-depth", lambda v: build_tube(B1, SSeq(1, (1,)), 2, v), "depth"),
+    ("tpq-depth", lambda v: tpq_quiver(geometry_of(3, 7), v, max_base_rank=1), "depth"),
+    ("max_base_rank", lambda v: cusp_quiver(B1, v, depth=2), "max_base_rank"),
+    ("p", lambda v: geometry_of(v, 8), "p"),
+    ("q", lambda v: geometry_of(3, v), "q"),
+]
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, 0], ids=["bool", "float", "zero"])
+@pytest.mark.parametrize(
+    "make,name", [row[1:] for row in COUNTS], ids=[row[0] for row in COUNTS]
+)
+def test_the_value_layer_rejects_a_non_int_component_count(make, name, bad):
+    # True and 2.0 pass a bare "< 1" test, so the type is checked first.
+    # The error names the count; geometry_of's stronger bounds word p=0 and
+    # q=0 as the command line shows them.
+    if type(bad) is int:
+        expected = rf"^{name} must be (positive|at least 3), got 0$|, {name}=0$"
+    else:
+        expected = rf"^{name} must be an integer, got {bad!r}$"
+    with pytest.raises(ValueError, match=expected):
+        make(bad)
+
+
+def test_a_sequence_on_another_cycle_gets_the_one_mismatch_message():
+    seq = SSeq(2, (1, 0))
+    geom, tpq = B1, geometry_of(3, 8)  # s = 1 and s = 2
+    expected = "^sequence has s=2 but the geometry has s=1$"
+    with pytest.raises(ValueError, match=expected):
+        twist_by_cycle(seq, geom)
+    with pytest.raises(ValueError, match=expected):
+        n_global(BundleTriple(seq, 1, 2), geom)
+    with pytest.raises(ValueError, match=expected):
+        classify_label(BundleTriple(seq, 1, 2), geom)
+    with pytest.raises(ValueError, match="^sequence has s=1 but the geometry has s=2$"):
+        apply_sigma(tpq, SSeq(1, (1,)))
+
+
 @pytest.mark.parametrize(
     "make",
-    [lambda: SSeq(1.0, (1, 2)), lambda: SSeq(True, (1,)),
-     lambda: CuspGeometry(1.0, (1,)), lambda: CuspGeometry(True, (1,))],
-    ids=["sseq-float", "sseq-bool", "geometry-float", "geometry-bool"],
+    [
+        lambda: BundleTriple(SSeq(1, (1,)), 1, 0),
+        lambda: delta(SSeq(1, (0,)), 0),
+        lambda: delta(SSeq(1, (1,)), "0/3"),
+        lambda: build_tube(B1, SSeq(1, (1,)), 0, 2),
+        lambda: cusp_quiver(B1, 1, 2, lambdas=(1, 0)),
+        lambda: tpq_quiver(geometry_of(3, 7), 2, bases=[(SSeq(1, (1,)), 0)]),
+        lambda: verify_grid(s_values=(1,), rs_max=1, lambdas=(1, 0)),
+    ],
+    ids=["triple", "delta-zero-seq", "delta", "build_tube", "cusp_quiver",
+         "tpq_quiver", "verify_grid"],
 )
-def test_the_value_layer_rejects_a_non_int_component_count(make):
-    # SSeq(1.0, (1, 2)) used to be accepted, with r == 2.0.
-    with pytest.raises(ValueError, match="component count must be an integer"):
+def test_a_zero_lambda_gets_the_one_scalar_message(make):
+    # delta is checked whatever the sequence, though a nonzero one does not
+    # need lam to give 0.
+    with pytest.raises(ValueError, match="^lam must be a nonzero rational$"):
         make()
 
 

@@ -200,7 +200,7 @@ def test_enumerate_rejects_bad_ranges():
         with pytest.raises(ValueError):
             enumerate_canonical(1, 2, lo, hi)
     for s, max_r in [(1.0, 2), (True, 2), (1, 2.0), (1, True)]:
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="must be an integer"):
             enumerate_canonical(s, max_r, 0, 1)
 
 
