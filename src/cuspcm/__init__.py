@@ -14,7 +14,8 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Submodule -> the names the package exports from it.
+# The one list of public names: submodule -> the names the package exports
+# from it.  Each submodule's __all__ is its entry here.
 _EXPORTS = {
     "sequences": (
         "SSeq", "shift_by", "is_aperiodic", "canonical_form", "enumerate_canonical",

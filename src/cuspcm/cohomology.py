@@ -19,21 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import _EXPORTS
 from .sequences import SSeq, _count
 
-__all__ = [
-    "KahnViolation",
-    "BundleTriple",
-    "CuspGeometry",
-    "CohomReport",
-    "theta",
-    "delta",
-    "cohom_dims",
-    "kahn_condition",
-    "twist_by_cycle",
-    "n_global",
-    "module_rank",
-]
+__all__ = _EXPORTS["cohomology"]
 
 class KahnViolation(ValueError):
     """No Cohen-Macaulay module exists for the requested parameters."""

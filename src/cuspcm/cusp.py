@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 
+from . import _EXPORTS
 from .cohomology import (
     BundleTriple,
     CuspGeometry,
@@ -29,17 +30,7 @@ from .cohomology import (
 )
 from .sequences import SSeq, _checked, _count, canonical_form, is_aperiodic
 
-__all__ = [
-    "LambdaBase",
-    "CMModuleLabel",
-    "FamilyDescriptor",
-    "RankSlice",
-    "GrowthTable",
-    "free_label",
-    "classify_label",
-    "enumerate_rank",
-    "family_counts",
-]
+__all__ = _EXPORTS["cusp"]
 
 class LambdaBase(Enum):
     """Which scalars lam give a module inside a family."""
@@ -271,7 +262,7 @@ def enumerate_rank(geom: CuspGeometry, rank: int) -> RankSlice:
                 if not is_aperiodic(seq) or canonical_form(seq) is not seq:
                     continue
                 base = except_one if entries in special else every
-                block.append(_checked(FamilyDescriptor, seq, m, base, rank))
+                block.append(FamilyDescriptor(seq, m, base, rank))
         block.sort(key=attrgetter("seq.entries"))
         families += block
     exceptional: tuple[CMModuleLabel, ...] = ()

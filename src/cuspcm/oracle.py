@@ -33,19 +33,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from . import _EXPORTS
 from .cohomology import BundleTriple, CohomReport, _scalar, cohom_dims, delta
 from .sequences import SSeq, enumerate_canonical
 
-__all__ = [
-    "OracleSpace",
-    "build_presentation",
-    "rank_of_h",
-    "oracle_dims",
-    "VerifyReport",
-    "verify_formula",
-    "GridReport",
-    "verify_grid",
-]
+__all__ = _EXPORTS["oracle"]
 
 PRIME = 0
 DOUBLE_PRIME = 1

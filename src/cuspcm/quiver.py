@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import _EXPORTS
 from .cohomology import BundleTriple, CuspGeometry, _scalar
 from .cusp import (
     CMModuleLabel,
@@ -32,19 +33,7 @@ from .cusp import (
 from .sequences import SSeq, _count, canonical_form
 from .tpq import TpqFree, TpqGeometry, apply_sigma, is_sigma_symmetric
 
-__all__ = [
-    "QuiverNode",
-    "QuiverArrow",
-    "Tube",
-    "ARQuiver",
-    "ARSequence",
-    "ar_sequence",
-    "build_tube",
-    "cusp_quiver",
-    "tpq_quiver",
-    "export_dot",
-    "quiver_to_dict",
-]
+__all__ = _EXPORTS["quiver"]
 
 
 @dataclass(frozen=True)
@@ -221,10 +210,9 @@ def cusp_quiver(
     Raises:
         ValueError: for a max_base_rank or depth not an int >= 1, or lam = 0.
     """
-    return _merge(
-        build_tube(geom, seq, lam, depth)
-        for seq, lam in _base_points(geom, max_base_rank, lambdas)
-    )
+    points = _base_points(geom, max_base_rank, lambdas)
+    _count("depth", depth)  # also when no base survives and no tube is built
+    return _merge(build_tube(geom, seq, lam, depth) for seq, lam in points)
 
 
 def _tpq_tube(

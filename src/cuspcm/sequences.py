@@ -13,13 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = [
-    "SSeq",
-    "shift_by",
-    "is_aperiodic",
-    "canonical_form",
-    "enumerate_canonical",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["sequences"]
 
 
 @dataclass(frozen=True)

@@ -17,26 +17,13 @@ from enum import Enum
 from fractions import Fraction
 from typing import ClassVar
 
+from . import _EXPORTS
 from .cohomology import BundleTriple, CuspGeometry, _same_s
 from .cohomology import kahn_condition, kahn_violation
 from .cusp import CMModuleLabel, _canonical_triple
 from .sequences import SSeq, _checked, _count, canonical_form
 
-__all__ = [
-    "TpqCase",
-    "TpqGeometry",
-    "TpqKind",
-    "TpqModuleLabel",
-    "TpqFree",
-    "TpqSingle",
-    "TpqBranch",
-    "geometry_of",
-    "apply_sigma",
-    "is_sigma_symmetric",
-    "sigma_of_module",
-    "descend",
-    "tpq_iso",
-]
+__all__ = _EXPORTS["tpq"]
 
 
 class TpqCase(Enum):

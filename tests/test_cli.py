@@ -195,6 +195,22 @@ def test_validation_error_exits_two(capsys):
     assert json.loads(out)["error"]["kind"] == "invalid_input"
 
 
+QUIVER_WITHOUT_TUBES = ["quiver", "--s", "1", "--b", "1", "--max-base-rank", "1",
+                        "--depth", "0", "--lambdas", "1"]
+
+
+def test_a_bad_depth_is_an_error_when_no_tube_is_built(capsys):
+    # At max base rank 1 and lam = 1 both rank-1 bases are dropped.
+    assert main(QUIVER_WITHOUT_TUBES) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: depth must be positive, got 0\n"
+    code, out = run(capsys, *QUIVER_WITHOUT_TUBES, "--format", "json")
+    assert code == 2
+    assert json.loads(out) == {"error": {
+        "kind": "invalid_input", "message": "depth must be positive, got 0"}}
+
+
 def test_table_mode_reports_on_stderr(capsys):
     code = main(
         ["classify", "--s", "1", "--b", "1", "--seq", "0", "--m", "1",

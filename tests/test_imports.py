@@ -58,6 +58,20 @@ def test_every_exported_name_is_its_submodules_object(module):
         assert getattr(cuspcm, name) is getattr(mod, name), name
 
 
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_a_submodules_all_is_its_entry_in_the_table(module):
+    assert importlib.import_module(f"cuspcm.{module}").__all__ is cuspcm._EXPORTS[module]
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_every_exported_name_is_defined_in_its_submodule(module):
+    # A misfiled name would load the wrong submodule on first use.
+    for name in cuspcm._EXPORTS[module]:
+        value = getattr(cuspcm, name)
+        for obj in getattr(value, "__args__", (value,)):  # TpqModuleLabel is a union
+            assert obj.__module__ == f"cuspcm.{module}", name
+
+
 def test_all_is_the_submodules_exports_and_the_version():
     names = {n for m in SUBMODULES for n in importlib.import_module(f"cuspcm.{m}").__all__}
     assert sorted(cuspcm.__all__) == sorted(names | {"__version__"})

@@ -100,6 +100,13 @@ def test_build_tube_kahn_violation():
         build_tube(B1, SSeq(1, (2,)), 3, depth=0)
 
 
+@pytest.mark.parametrize("lambdas", [(), (1,)])  # no tube base survives
+@pytest.mark.parametrize("depth", [0, -5, True, 2.0])
+def test_cusp_quiver_checks_depth_without_a_tube(depth, lambdas):
+    with pytest.raises(ValueError, match="^depth must be"):
+        cusp_quiver(CuspGeometry(1, (1,)), 1, depth, lambdas=lambdas)
+
+
 def test_cusp_quiver_partitions_nodes():
     quiver = cusp_quiver(B1, max_base_rank=2, depth=3)
     seen = {}
