@@ -30,7 +30,12 @@ class KahnViolation(ValueError):
 
 def _scalar(lam: Fraction | int | str) -> Fraction:
     # The one scalar rule: a nonzero exact rational, coerced by Fraction once.
-    lam = lam if type(lam) is Fraction else Fraction(lam)
+    # As for counts, bool and float are rejected: True would be the special
+    # scalar 1 and 0.1 a binary fraction.
+    if type(lam) is not Fraction:
+        if isinstance(lam, (bool, float)):
+            raise ValueError(f"lam must be an exact rational, got {lam!r}")
+        lam = Fraction(lam)
     if lam == 0:
         raise ValueError("lam must be a nonzero rational")
     return lam
@@ -47,9 +52,9 @@ class BundleTriple:
     """Parameters (d, m, lam) of an indecomposable bundle on the cycle.
 
     m is a positive int multiplicity and lam a nonzero exact rational; ints
-    and strings accepted by Fraction are coerced.  Aperiodicity of the sequence
-    is not required here: it is a classification-level constraint, enforced
-    where labels are built.
+    and strings accepted by Fraction are coerced, bool and float rejected.
+    Aperiodicity of the sequence is not required here: it is a
+    classification-level constraint, enforced where labels are built.
     """
 
     seq: SSeq

@@ -143,7 +143,8 @@ def _tube_level(label: CMModuleLabel, m: int) -> CMModuleLabel:
     # m*(r + c) + j with j = 1 only over (B, 1).
     t = label.triple
     j = 1 if t.lam == 1 and t.seq.entries == label.geometry.b else 0
-    return _checked(CMModuleLabel, label.geometry, BundleTriple(t.seq, m, t.lam),
+    triple = _checked(BundleTriple, t.seq, m, t.lam)
+    return _checked(CMModuleLabel, label.geometry, triple,
                     (label.rank - j) // t.m * m + j)
 
 

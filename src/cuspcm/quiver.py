@@ -1,14 +1,11 @@
 """Auslander-Reiten quivers over the cusp and their curve-side counterparts.
 
-Over the cusp every non-free indecomposable M(d, m, lam) is fixed by the
-AR translation, so the quiver falls apart into homogeneous tubes indexed
-by (d, lam): levels m = 1, 2, ... joined by one irreducible map each way.
-The tube over (B, 1) is special: the free module A is glued to its bottom
-level.  Over the curve T_pq the descended tubes look the same except over
-sigma-fixed data, where the tube has period two: two branches swapped by
-the translation, with level-raising arrows along each branch and
-level-lowering arrows crossing between them; the special tube glues the
-free module between the two bottom levels.
+Every tube is the mesh ZA_infinity / tau^p, laid out by one writer: level m
+holds one node per branch, and tau moves each branch to the next.  Over the
+cusp every non-free indecomposable M(d, m, lam) is fixed by the translation,
+so the tubes, indexed by (d, lam), are homogeneous (p = 1).  Over the curve
+T_pq, sigma-fixed data at lam = +-1 split into two branches (p = 2).  The
+tube over (B, 1) is special: the free module is glued to its bottom level.
 
 Quivers are plain node/arrow/tube containers with a deterministic
 construction order, exportable as DOT or as JSON-ready dictionaries.
@@ -31,7 +28,7 @@ from .cusp import (
     free_label,
 )
 from .sequences import SSeq, _count, canonical_form
-from .tpq import TpqFree, TpqGeometry, apply_sigma, is_sigma_symmetric
+from .tpq import TpqFree, TpqGeometry, _flip, _splits
 
 __all__ = _EXPORTS["quiver"]
 
@@ -132,26 +129,39 @@ def build_tube(
     lam = _scalar(lam)
     bottom = classify_label(BundleTriple(seq, 1, lam), geom)
     labels = [bottom] + [_tube_level(bottom, m) for m in range(2, depth + 1)]
-    nodes = [QuiverNode(id=str(lab), kind="module", rank=lab.rank) for lab in labels]
-    if labels[0].triple.seq == geom.b_sequence and lam == 1:
+    levels = [[QuiverNode(str(lab), "module", lab.rank)] for lab in labels]
+    base = bottom.triple.seq  # canonical
+    free = None
+    if base.entries == geom.b and lam == 1:
         a = free_label(geom)
-        nodes.insert(0, QuiverNode(id=str(a), kind="free", rank=a.rank))
-    return _period_one_tube(f"T({labels[0].triple.seq},{lam})", nodes)
+        free = QuiverNode(str(a), "free", a.rank)
+    return _tube(f"T({base},{lam})", levels, free)
 
 
-def _period_one_tube(tube_id: str, nodes: list[QuiverNode]) -> ARQuiver:
-    # The nodes in order, consecutive ones joined by one arrow each way; the
-    # translation fixes every node but a free one glued below the bottom.
+def _tube(
+    tube_id: str, levels: Sequence[Sequence[QuiverNode]], free: QuiverNode | None = None
+) -> ARQuiver:
+    # Between consecutive levels: the raising arrows along every branch, then
+    # the lowering arrows into tau's branch.  A free node goes first, glued
+    # between branch 1 and its tau-image at the bottom, outside tau's domain.
+    p = len(levels[0])
+    nodes = [node for level in levels for node in level]
     ids = [node.id for node in nodes]
-    arrows: list[QuiverArrow] = []
-    for low, high in zip(ids, ids[1:]):
-        arrows += (QuiverArrow(src=low, dst=high), QuiverArrow(src=high, dst=low))
-    return ARQuiver(
-        nodes=tuple(nodes),
-        arrows=tuple(arrows),
-        tubes=(Tube(id=tube_id, period=1, members=tuple(ids)),),
-        translate={node.id: node.id for node in nodes if node.kind != "free"},
-    )
+    tau = ids[:]
+    arrows: list = [None] * (2 * len(ids) - 2 * p)
+    for i in range(p):
+        # Pair j of levels holds arrows 2pj..2pj+2p-1: branch i is raised at
+        # 2pj+i and lowered at 2pj+p+i.
+        tau[i::p] = ids[(i + 1) % p::p]
+        arrows[i::2 * p] = map(QuiverArrow, ids[i::p], ids[p + i::p])
+        arrows[p + i::2 * p] = map(QuiverArrow, ids[p + i::p], tau[i::p])
+    members = ids
+    if free is not None:
+        nodes.insert(0, free)
+        members = [free.id, *ids]
+        arrows[:0] = (QuiverArrow(free.id, ids[0]), QuiverArrow(tau[0], free.id))
+    tube = Tube(tube_id, p, tuple(members))
+    return ARQuiver(tuple(nodes), tuple(arrows), (tube,), dict(zip(ids, tau)))
 
 
 def _merge(quivers: Iterable[ARQuiver]) -> ARQuiver:
@@ -187,7 +197,7 @@ def _base_points(
                     # Either no module at lam = 1 (zero sequence) or the
                     # special base M(B, 1, 1); keep the latter if its rank
                     # still fits.
-                    if fam.seq != geom.b_sequence:
+                    if fam.seq.entries != geom.b:
                         continue
                     if rank + 1 > max_base_rank:
                         continue
@@ -221,49 +231,18 @@ def _tpq_tube(
     # One curve-side tube over the sigma-orbit of (seq, lam).  Both callers
     # pass a checked base: seq canonical, a module at m = 1, lam a Fraction.
     # Every level's node id is formatted from it as str() of the curve
-    # label at that level would be, from the sequence's text made once.
+    # label at that level would be, from the sequence's text made once;
+    # str(lam) of a split base is its sign.
     text = str(seq)
-    if not (lam in (1, -1) and is_sigma_symmetric(geom, seq)):
-        nodes = [
-            QuiverNode(id=f"N({text},{m},{lam})", kind="single")
-            for m in range(1, depth + 1)
-        ]
-        return _period_one_tube(f"T({text},{lam})", nodes)
-
-    sign = 1 if lam == 1 else -1
-    special = seq.entries == geom.cusp.b and sign == 1
-
-    def branch_id(branch: int, m: int) -> str:
-        return f"N{branch}({text},{m},{sign})"
-
-    nodes = []
-    members: list[str] = []
-    arrows: list[QuiverArrow] = []
-    translate: dict[str, str] = {}
-    free_id = str(TpqFree(geom))
-    if special:
-        nodes.append(QuiverNode(id=free_id, kind="free"))
-        members.append(free_id)
-    for m in range(1, depth + 1):
-        for branch in (1, 2):
-            nid = branch_id(branch, m)
-            nodes.append(QuiverNode(id=nid, kind="split"))
-            members.append(nid)
-            translate[nid] = branch_id(3 - branch, m)
-    if special:
-        # The free module sits in the sequence starting from branch 2.
-        arrows.append(QuiverArrow(src=free_id, dst=branch_id(1, 1)))
-        arrows.append(QuiverArrow(src=branch_id(2, 1), dst=free_id))
-    for m in range(1, depth):
-        arrows.append(QuiverArrow(src=branch_id(1, m), dst=branch_id(1, m + 1)))
-        arrows.append(QuiverArrow(src=branch_id(2, m), dst=branch_id(2, m + 1)))
-        arrows.append(QuiverArrow(src=branch_id(1, m + 1), dst=branch_id(2, m)))
-        arrows.append(QuiverArrow(src=branch_id(2, m + 1), dst=branch_id(1, m)))
-    tube = Tube(id=f"T({text},{sign})", period=2, members=tuple(members))
-    return ARQuiver(
-        nodes=tuple(nodes), arrows=tuple(arrows), tubes=(tube,),
-        translate=translate,
-    )
+    ms = range(1, depth + 1)
+    if not _splits(geom, seq, lam):
+        levels = [(QuiverNode(f"N({text},{m},{lam})", "single"),) for m in ms]
+        return _tube(f"T({text},{lam})", levels)
+    levels = [(QuiverNode(f"N1({text},{m},{lam})", "split"),
+               QuiverNode(f"N2({text},{m},{lam})", "split")) for m in ms]
+    special = seq.entries == geom.cusp.b and lam == 1
+    free = QuiverNode(str(TpqFree(geom)), "free") if special else None
+    return _tube(f"T({text},{lam})", levels, free)
 
 
 def tpq_quiver(
@@ -299,9 +278,9 @@ def tpq_quiver(
     seen: set[tuple[tuple[int, ...], Fraction]] = set()
     quivers: list[ARQuiver] = []
     for seq, lam in points:
-        flip = (canonical_form(apply_sigma(geom, seq)).entries, 1 / lam)
+        flip_seq, flip_lam = _flip(geom, seq, lam)
         key = (seq.entries, lam)
-        if key in seen or flip in seen:
+        if key in seen or (flip_seq.entries, flip_lam) in seen:
             continue
         seen.add(key)
         quivers.append(_tpq_tube(geom, seq, lam, depth))

@@ -112,6 +112,17 @@ def is_sigma_symmetric(geom: TpqGeometry, seq: SSeq) -> bool:
     return any(reflected == e[cut:] + e[:cut] for cut in range(0, len(e), seq.s))
 
 
+def _splits(geom: TpqGeometry, seq: SSeq, lam: Fraction) -> bool:
+    # The one split rule: sigma-fixed data at lam = +-1 descend to two
+    # branch modules; everything else to one single module.
+    return lam in (1, -1) and is_sigma_symmetric(geom, seq)
+
+
+def _flip(geom: TpqGeometry, seq: SSeq, lam: Fraction) -> tuple[SSeq, Fraction]:
+    # The one flip rule: (d, lam) -> (sigma d in canonical form, 1/lam).
+    return canonical_form(apply_sigma(geom, seq)), 1 / lam
+
+
 def sigma_of_module(geom: TpqGeometry, triple: BundleTriple) -> BundleTriple:
     """Image of a module label under the involution: (sigma d, m, 1/lam).
 
@@ -120,8 +131,8 @@ def sigma_of_module(geom: TpqGeometry, triple: BundleTriple) -> BundleTriple:
     """
     if not kahn_condition(triple):
         raise kahn_violation(triple)
-    reflected = apply_sigma(geom, triple.seq)
-    return BundleTriple(canonical_form(reflected), triple.m, 1 / triple.lam)
+    seq, lam = _flip(geom, triple.seq, triple.lam)
+    return BundleTriple(seq, triple.m, lam)
 
 
 class TpqKind(Enum):
@@ -157,7 +168,7 @@ class TpqSingle:
     def __post_init__(self) -> None:
         triple = BundleTriple(self.seq, self.m, self.lam)
         t = _canonical_triple(triple, self.geometry.cusp)
-        if t.lam in (1, -1) and is_sigma_symmetric(self.geometry, t.seq):
+        if _splits(self.geometry, t.seq, t.lam):
             raise ValueError(f"{t.seq} with lam={t.lam} splits; use branch labels")
         object.__setattr__(self, "seq", t.seq)
         object.__setattr__(self, "lam", t.lam)
@@ -210,7 +221,7 @@ def descend(geom: TpqGeometry, label: CMModuleLabel) -> list[TpqModuleLabel]:
         return [TpqFree(geom)]
     # The label is checked by construction, so its curve labels are too.
     t = label.triple
-    if t.lam in (1, -1) and is_sigma_symmetric(geom, t.seq):
+    if _splits(geom, t.seq, t.lam):
         sign = int(t.lam)
         return [_checked(TpqBranch, geom, t.seq, t.m, sign, b) for b in (1, 2)]
     return [_checked(TpqSingle, geom, t.seq, t.m, t.lam)]
@@ -229,5 +240,5 @@ def tpq_iso(geom: TpqGeometry, a: TpqModuleLabel, b: TpqModuleLabel) -> bool:
     if not (isinstance(a, TpqSingle) and isinstance(b, TpqSingle)):
         return False
     # b flipped, compared field by field: b is checked, and so is its flip.
-    flip = (canonical_form(apply_sigma(geom, b.seq)), b.m, 1 / b.lam)
-    return (a.seq, a.m, a.lam) == flip
+    seq, lam = _flip(geom, b.seq, b.lam)
+    return (a.seq, a.m, a.lam) == (seq, b.m, lam)

@@ -121,25 +121,34 @@ def test_a_sequence_on_another_cycle_gets_the_one_mismatch_message():
         apply_sigma(tpq, SSeq(1, (1,)))
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: BundleTriple(SSeq(1, (1,)), 1, 0),
-        lambda: delta(SSeq(1, (0,)), 0),
-        lambda: delta(SSeq(1, (1,)), "0/3"),
-        lambda: build_tube(B1, SSeq(1, (1,)), 0, 2),
-        lambda: cusp_quiver(B1, 1, 2, lambdas=(1, 0)),
-        lambda: tpq_quiver(geometry_of(3, 7), 2, bases=[(SSeq(1, (1,)), 0)]),
-        lambda: verify_grid(s_values=(1,), rs_max=1, lambdas=(1, 0)),
-    ],
-    ids=["triple", "delta-zero-seq", "delta", "build_tube", "cusp_quiver",
-         "tpq_quiver", "verify_grid"],
-)
+# Every scalar of the public API, as (id, call with the scalar).
+SCALARS = [
+    ("triple", lambda v: BundleTriple(SSeq(1, (1,)), 1, v)),
+    ("delta-zero-seq", lambda v: delta(SSeq(1, (0,)), v)),
+    ("delta", lambda v: delta(SSeq(1, (1,)), v)),
+    ("build_tube", lambda v: build_tube(B1, SSeq(1, (1,)), v, 2)),
+    ("cusp_quiver", lambda v: cusp_quiver(B1, 1, 2, lambdas=(1, v))),
+    ("tpq_quiver", lambda v: tpq_quiver(geometry_of(3, 7), 2, bases=[(SSeq(1, (1,)), v)])),
+    ("verify_grid", lambda v: verify_grid(s_values=(1,), rs_max=1, lambdas=(1, v))),
+]
+
+
+@pytest.mark.parametrize("make", [row[1] for row in SCALARS], ids=[row[0] for row in SCALARS])
 def test_a_zero_lambda_gets_the_one_scalar_message(make):
     # delta is checked whatever the sequence, though a nonzero one does not
     # need lam to give 0.
-    with pytest.raises(ValueError, match="^lam must be a nonzero rational$"):
-        make()
+    for zero in (0, "0/3"):
+        with pytest.raises(ValueError, match="^lam must be a nonzero rational$"):
+            make(zero)
+
+
+@pytest.mark.parametrize("bad", [True, 0.1, 2.0], ids=["bool", "float", "int-float"])
+@pytest.mark.parametrize("make", [row[1] for row in SCALARS], ids=[row[0] for row in SCALARS])
+def test_a_bool_or_float_lambda_is_rejected(make, bad):
+    # As for counts: True would be the special scalar 1, and 0.1 the binary
+    # fraction 3602879701896397/36028797018963968.
+    with pytest.raises(ValueError, match=rf"^lam must be an exact rational, got {bad!r}$"):
+        make(bad)
 
 
 def test_cusp_geometry_validation():

@@ -11,10 +11,13 @@ from cuspcm import (
     CMModuleLabel,
     CuspGeometry,
     KahnViolation,
+    QuiverArrow,
+    QuiverNode,
     SSeq,
     TpqBranch,
     TpqFree,
     TpqSingle,
+    Tube,
     ar_sequence,
     build_tube,
     classify_label,
@@ -41,6 +44,12 @@ def label(entries, m, lam, geom=B1):
 
 def arrow_pairs(quiver):
     return {(a.src, a.dst) for a in quiver.arrows}
+
+
+def tube_base(tube_id, s):
+    # The (seq, lam) a tube id T(seq,lam) names, on a cycle of length s.
+    entries, lam = re.fullmatch(r"T\(\[(.*)\],(.*)\)", tube_id).groups()
+    return SSeq(s, tuple(int(v) for v in entries.split(","))), Fraction(lam)
 
 
 # ------------------------------------------------------------ sequences
@@ -223,9 +232,7 @@ def test_trusted_labels_equal_their_checked_rebuilds(pq, lams):
 def reference_tube_ids(geom, tube, depth):
     # Member ids and translation of one T_pq tube, from a label built per
     # level; the base is read back from the tube id.
-    seq_text, lam_text = re.fullmatch(r"T\(\[(.*)\],(.*)\)", tube.id).groups()
-    seq = SSeq(geom.cusp.s, tuple(int(v) for v in seq_text.split(",")))
-    lam = Fraction(lam_text)
+    seq, lam = tube_base(tube.id, geom.cusp.s)
     if tube.period == 1:
         ids = [str(TpqSingle(geom, seq, m, lam)) for m in range(1, depth + 1)]
         return ids, {i: i for i in ids}
@@ -324,8 +331,7 @@ def test_tpq_single_tubes_match_cusp_tubes(p, q):
     singles = [t for t in quiver.tubes if t.period == 1]
     assert singles
     for tube in singles:
-        entries, lam = re.fullmatch(r"T\(\[(.*)\],(.*)\)", tube.id).groups()
-        seq = SSeq(geom.cusp.s, tuple(int(v) for v in entries.split(",")))
+        seq, lam = tube_base(tube.id, geom.cusp.s)
         cusp = build_tube(geom.cusp, seq, lam, depth=4)
         assert cusp.tubes[0].id == tube.id
         assert len(cusp.tubes[0].members) == len(tube.members) == 4
@@ -344,6 +350,137 @@ def test_tpq_quiver_argument_check():
         tpq_quiver(G38, depth=2)
     with pytest.raises(ValueError):
         tpq_quiver(G38, depth=2, max_base_rank=2, bases=[(SSeq(2, (1, 0)), 1)])
+
+
+# ------------------------------------------------- reference tube layouts
+
+
+def reference_period_one_tube(tube_id, nodes):
+    # The two-builder layout the tube writer replaced, kept as the reference.
+    # The nodes in order, consecutive ones joined by one arrow each way; the
+    # translation fixes every node but a free one glued below the bottom.
+    ids = [node.id for node in nodes]
+    arrows = []
+    for low, high in zip(ids, ids[1:]):
+        arrows += (QuiverArrow(src=low, dst=high), QuiverArrow(src=high, dst=low))
+    return ARQuiver(
+        nodes=tuple(nodes),
+        arrows=tuple(arrows),
+        tubes=(Tube(id=tube_id, period=1, members=tuple(ids)),),
+        translate={node.id: node.id for node in nodes if node.kind != "free"},
+    )
+
+
+def reference_period_two_tube(tube_id, nodes):
+    # The period-2 mesh the tube writer replaced: an optional free node, then
+    # branches 1 and 2 of each level.  Raise along each branch, lower across.
+    free_id = nodes[0].id if nodes[0].kind == "free" else None
+    split = nodes[1:] if free_id else nodes
+    depth = len(split) // 2
+
+    def branch_id(branch, m):
+        return split[2 * (m - 1) + branch - 1].id
+
+    members = [free_id] if free_id else []
+    arrows = []
+    translate = {}
+    for m in range(1, depth + 1):
+        for branch in (1, 2):
+            nid = branch_id(branch, m)
+            members.append(nid)
+            translate[nid] = branch_id(3 - branch, m)
+    if free_id:
+        # The free module sits in the sequence starting from branch 2.
+        arrows.append(QuiverArrow(src=free_id, dst=branch_id(1, 1)))
+        arrows.append(QuiverArrow(src=branch_id(2, 1), dst=free_id))
+    for m in range(1, depth):
+        arrows.append(QuiverArrow(src=branch_id(1, m), dst=branch_id(1, m + 1)))
+        arrows.append(QuiverArrow(src=branch_id(2, m), dst=branch_id(2, m + 1)))
+        arrows.append(QuiverArrow(src=branch_id(1, m + 1), dst=branch_id(2, m)))
+        arrows.append(QuiverArrow(src=branch_id(2, m + 1), dst=branch_id(1, m)))
+    tube = Tube(id=tube_id, period=2, members=tuple(members))
+    return ARQuiver(
+        nodes=tuple(nodes), arrows=tuple(arrows), tubes=(tube,), translate=translate
+    )
+
+
+def reference_nodes(geom, tube_id, depth):
+    # The nodes of one tube from labels classified per level.  geom is a
+    # cusp geometry, or a T_pq geometry whose labels are the descended ones.
+    cusp = getattr(geom, "cusp", geom)
+    seq, lam = tube_base(tube_id, cusp.s)
+    nodes = []
+    for m in range(1, depth + 1):
+        up = classify_label(BundleTriple(seq, m, lam), cusp)
+        if cusp is geom:
+            nodes.append(QuiverNode(str(up), "module", up.rank))
+        else:
+            nodes += [QuiverNode(str(x), x.kind.value) for x in descend(geom, up)]
+    if seq == cusp.b_sequence and lam == 1:
+        free = free_label(cusp) if cusp is geom else TpqFree(geom)
+        nodes.insert(0, QuiverNode(str(free), "free", getattr(free, "rank", None)))
+    return nodes
+
+
+def reference_quiver(geom, quiver, depth):
+    # Every tube of the quiver laid out again by the replaced builders, in
+    # the quiver's tube order, and merged as the quivers are.
+    refs = []
+    for tube in quiver.tubes:
+        nodes = reference_nodes(geom, tube.id, depth)
+        splits = any(node.kind == "split" for node in nodes)
+        build = reference_period_two_tube if splits else reference_period_one_tube
+        refs.append(build(tube.id, nodes))
+    translate = {}
+    for ref in refs:
+        translate.update(ref.translate)
+    return ARQuiver(
+        nodes=tuple(n for ref in refs for n in ref.nodes),
+        arrows=tuple(a for ref in refs for a in ref.arrows),
+        tubes=tuple(t for ref in refs for t in ref.tubes),
+        translate=translate,
+    )
+
+
+REFERENCE_LAMBDAS = (1, -1, 2, Fraction(1, 2))
+REFERENCE_QUIVERS = [
+    pytest.param(
+        lambda depth, b=b: cusp_quiver(
+            CuspGeometry(len(b), b), 3, depth, lambdas=REFERENCE_LAMBDAS
+        ),
+        lambda b=b: CuspGeometry(len(b), b),
+        id=f"cusp-b{''.join(map(str, b))}",
+    )
+    for b in [(1,), (2,), (1, 0), (1, 1, 0)]
+] + [
+    pytest.param(
+        lambda depth, pq=pq: tpq_quiver(
+            geometry_of(*pq), depth, max_base_rank=3, lambdas=REFERENCE_LAMBDAS
+        ),
+        lambda pq=pq: geometry_of(*pq),
+        id=f"T{pq[0]},{pq[1]}",
+    )
+    for pq in [(3, 8), (4, 6), (5, 6), (5, 5)]
+]
+
+
+@pytest.mark.parametrize("depth", range(1, 6))
+@pytest.mark.parametrize("build,geometry", REFERENCE_QUIVERS)
+def test_every_tube_matches_the_replaced_builders(build, geometry, depth):
+    # One writer lays out both tube periods; the builders it replaced are
+    # the reference for nodes, arrows in order, tubes and the translation.
+    geom = geometry()
+    quiver = build(depth)
+    ref = reference_quiver(geom, quiver, depth)
+    assert quiver.nodes == ref.nodes
+    assert quiver.arrows == ref.arrows
+    assert quiver.tubes == ref.tubes
+    assert list(quiver.translate.items()) == list(ref.translate.items())
+    # The special tube, with its free node glued at the bottom, is there at
+    # every depth; a curve also has split tubes.
+    assert sum(node.kind == "free" for node in quiver.nodes) == 1
+    if geom is not getattr(geom, "cusp", geom):
+        assert {t.period for t in quiver.tubes} == {1, 2}
 
 
 # --------------------------------------------------------------- export
