@@ -10,9 +10,12 @@ before the next read.
 
 Every subcommand is one entry of `COMMANDS`; `build_parser` and `_run`
 serve them all.  The flags of a single-shot run become the record a batch
-line would give, so one field parser (`_read`) checks both.  This module
-imports only `sequences` and `cohomology` up front; a command imports the
-other library modules it uses when `_run` binds it, once per `main` call.
+line would give, so one field parser (`_read`) checks both.  One flag may
+stand in for the fields (`skip_if`): verify's --grid, tpq-quiver's
+--max-base-rank, tpq-descend's --free ({"free": true} in a batch record).
+This module imports only `sequences` and `cohomology` up front; a command
+imports the other library modules it uses when `_run` binds it, once per
+`main` call.
 
 Exit codes: 0 on success, 2 on a validation or usage error.
 """
@@ -82,12 +85,11 @@ def _flag_record(args: argparse.Namespace, fields: Sequence[str]) -> dict:
     Every flag is checked for presence before any literal is parsed.
     """
     record = {name: getattr(args, name) for name in fields}
-    if not record.get("free"):
-        for name, value in record.items():
-            if value is None:
-                raise ValueError(f"--{name} is required")
-        if "seq" in record:
-            record["seq"] = list(parse_seq(record["seq"]))
+    for name, value in record.items():
+        if value is None:
+            raise ValueError(f"--{name} is required")
+    if "seq" in record:
+        record["seq"] = list(parse_seq(record["seq"]))
     return record
 
 
@@ -113,15 +115,11 @@ def _read(record: dict, fields: Sequence[str], s: int) -> Any:
     """The one field parser, for batch records and flag records alike.
 
     Fields are checked in order.  Gives a BundleTriple when the fields
-    include m, an SSeq for the sequence alone, a (SSeq, lambda) tube base
-    for (seq, lambda), and None for a truthy "free" where that is a field.
+    include m, an SSeq for the sequence alone and a (SSeq, lambda) tube
+    base for (seq, lambda).
     """
-    if "free" in fields and record.get("free"):
-        return None
     values = []
     for name in fields:
-        if name == "free":
-            continue
         if name not in record:
             raise ValueError(f"missing field {name!r}")
         values.append(_field(name, record[name], s))
@@ -135,8 +133,6 @@ def _report_dict(report: CohomReport) -> dict:
 
 
 def _label_dict(label: CMModuleLabel) -> dict:
-    if label.is_free:
-        return {"kind": "free", "rank": label.rank}
     t = label.triple
     return {"kind": "module", "seq": list(t.seq.entries), "m": t.m, "lam": str(t.lam),
             "rank": label.rank}
@@ -288,6 +284,9 @@ def _tpq_descend(_args: argparse.Namespace, geom) -> Callable:
 def _tpq_quiver(args: argparse.Namespace, geom) -> Callable:
     from .quiver import tpq_quiver
 
+    if (args.seq is None) == (args.max_base_rank is None):
+        raise ValueError("give exactly one of --max-base-rank or --seq with --lambda")
+
     def answer(base: tuple | None):
         if base is not None:
             return tpq_quiver(geom, args.depth, bases=[base])
@@ -359,13 +358,6 @@ def _tpq(args: argparse.Namespace):
     return geom, geom.cusp.s
 
 
-def _tpq_one_base(args: argparse.Namespace):
-    geom, s = _tpq(args)
-    if (args.seq is None) == (args.max_base_rank is None):
-        raise ValueError("give exactly one of --max-base-rank or --seq with --lambda")
-    return geom, s
-
-
 @dataclass(frozen=True)
 class Command:
     """One subcommand: its flags and what each step of `_run` does for it."""
@@ -378,7 +370,7 @@ class Command:
     run: Callable[[argparse.Namespace, Any], Callable[[Any], Any]]
     rows: Callable[[dict], list[tuple[str, str]]] | None  # None: DOT, not table
     fields: tuple[str, ...] = ()  # the input, from the flags or a batch line
-    skip_if: str | None = None  # a flag that, when given, stands in for fields
+    skip_if: str | None = None  # a flag (batch: a record key) standing in for fields
 
 
 def _flag(name: str, help: str | None = None, **options) -> tuple[str, dict]:
@@ -461,10 +453,11 @@ COMMANDS = (
     ),
     Command(
         "tpq-descend", "CM modules over the curve below a label",
-        (_P, _Q, _flag("--free", "descend the free module", action="store_true"),
+        (_P, _Q,
+         _flag("--free", "descend the free module", action="store_true", default=None),
          _SEQ, _M, _LAM, _BATCH),
         _tpq, _tpq_descend, lambda r: [("label", str(d)) for d in r["labels"]],
-        ("free", *_TRIPLE),
+        _TRIPLE, skip_if="free",
     ),
     Command(
         "tpq-quiver", "curve-side AR quiver as DOT or JSON",
@@ -473,7 +466,7 @@ COMMANDS = (
          _LAMBDAS,
          _flag("--seq", "single tube base: degree sequence upstairs"),
          _flag("--lambda", "single tube base: scalar upstairs", metavar="LAM")),
-        _tpq_one_base, _tpq_quiver, None, ("seq", "lambda"), skip_if="max_base_rank",
+        _tpq, _tpq_quiver, None, ("seq", "lambda"), skip_if="max_base_rank",
     ),
 )
 
@@ -557,12 +550,14 @@ def _run(cmd: Command, args: argparse.Namespace) -> int:
     # Bound here, once per call of main, so that a library function replaced
     # between calls (as a tracer does) is the one that answers.
     answer = cmd.run(args, geom)
-    fields = cmd.fields
-    if cmd.skip_if is not None and getattr(args, cmd.skip_if) is not None:
-        fields = ()
+    fields, skip = cmd.fields, cmd.skip_if
     if getattr(args, "batch", False):
-        _batch(lambda record: answer(_read(record, fields, s)))
+        # A record's own skip_if key stands in for its fields; the flag does not.
+        _batch(lambda record: answer(
+            None if skip and record.get(skip) else _read(record, fields, s)))
         return 0
+    if skip is not None and getattr(args, skip) is not None:
+        fields = ()
     value = _read(_flag_record(args, fields), fields, s) if fields else None
     result = answer(value)
     if args.format == "table":

@@ -62,6 +62,8 @@ class BundleTriple:
     lam: Fraction
 
     def __post_init__(self) -> None:
+        if type(self.seq) is not SSeq:
+            raise ValueError(f"seq must be an SSeq, got {self.seq!r}")
         _count("multiplicity", self.m)
         object.__setattr__(self, "lam", _scalar(self.lam))
 

@@ -196,12 +196,9 @@ def _twist_candidates(geom: CuspGeometry, r: int, slack: int) -> list[tuple[int,
                 return out
             i, p, gt, closed, run, neg, head, first, v = stack.pop()
             continue
-        head_cost = head - 1 if head > 0 else 0
         if v < 0:
+            # within slack: head <= vmax, and each extension of run was checked
             c_closed = closed + (run - 1 if run > 0 else 0)
-            if c_closed + head_cost > slack:  # the same for every v < 0
-                v = 0
-                continue
             c_run, c_neg, c_head = 0, True, head
         elif not neg:
             c_head = head + v
@@ -211,6 +208,7 @@ def _twist_candidates(geom: CuspGeometry, r: int, slack: int) -> list[tuple[int,
             c_closed, c_run, c_neg = closed, 0, False
         else:
             c_run = run + v
+            head_cost = head - 1 if head > 0 else 0
             if closed + (c_run - 1 if c_run > 0 else 0) + head_cost > slack:
                 v = vmax + 1
                 continue

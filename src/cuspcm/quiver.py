@@ -27,7 +27,7 @@ from .cusp import (
     enumerate_rank,
     free_label,
 )
-from .sequences import SSeq, _count, canonical_form
+from .sequences import SSeq, _checked, _count, canonical_form
 from .tpq import TpqFree, TpqGeometry, _flip, _splits
 
 __all__ = _EXPORTS["quiver"]
@@ -272,8 +272,10 @@ def tpq_quiver(
     else:
         points = []
         for seq, lam in bases:
-            # Validate the base point through the cusp classification.
-            base = classify_label(BundleTriple(canonical_form(seq), 1, lam), geom.cusp)
+            # Checked first; a rejection names the canonical rotation.
+            t = BundleTriple(seq, 1, lam)
+            canon = _checked(BundleTriple, canonical_form(seq), 1, t.lam)
+            base = classify_label(canon, geom.cusp)
             points.append((base.triple.seq, base.triple.lam))
     seen: set[tuple[tuple[int, ...], Fraction]] = set()
     quivers: list[ARQuiver] = []

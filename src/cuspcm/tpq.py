@@ -38,7 +38,7 @@ class TpqGeometry:
 
     t is the block cut of the reflection sigma and is only meaningful for
     p >= 5 (where t = p - 3); for p in {3, 4} the reflection is anchored at
-    position 1 and t is None.
+    position 1 and t is None.  One built directly must equal `geometry_of`'s.
     """
 
     p: int
@@ -46,6 +46,10 @@ class TpqGeometry:
     cusp: CuspGeometry
     t: int | None
     case_tag: TpqCase
+
+    def __post_init__(self) -> None:
+        if self != geometry_of(self.p, self.q):
+            raise ValueError(f"not the double cover of T_{self.p},{self.q}: {self}")
 
     @property
     def axis(self) -> int:
@@ -76,20 +80,18 @@ def geometry_of(p: int, q: int) -> TpqGeometry:
         )
     if p == 3:
         s = q - 6
-        return TpqGeometry(
-            p, q, CuspGeometry(s, (1,) + (0,) * (s - 1)), None, TpqCase.P3
-        )
-    if p == 4:
+        cusp, t, case = CuspGeometry(s, (1,) + (0,) * (s - 1)), None, TpqCase.P3
+    elif p == 4:
         s = q - 4
-        return TpqGeometry(
-            p, q, CuspGeometry(s, (2,) + (0,) * (s - 1)), None, TpqCase.P4
-        )
-    s = p + q - 8
-    t = p - 3
-    b = [0] * s
-    b[0] = 1
-    b[t - 1] = 1
-    return TpqGeometry(p, q, CuspGeometry(s, tuple(b)), t, TpqCase.P5PLUS)
+        cusp, t, case = CuspGeometry(s, (2,) + (0,) * (s - 1)), None, TpqCase.P4
+    else:
+        s = p + q - 8
+        t = p - 3
+        b = [0] * s
+        b[0] = 1
+        b[t - 1] = 1
+        cusp, case = CuspGeometry(s, tuple(b)), TpqCase.P5PLUS
+    return _checked(TpqGeometry, p, q, cusp, t, case)
 
 
 def apply_sigma(geom: TpqGeometry, seq: SSeq) -> SSeq:

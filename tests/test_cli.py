@@ -287,6 +287,40 @@ def test_batch_tpq_descend(capsys, monkeypatch):
     assert [x["branch"] for x in json.loads(lines[1])["labels"]] == [1, 2]
 
 
+@pytest.mark.parametrize(
+    "free", [True, 1, -1, 0.5, "x", "0", [0], {"a": 1}, False, None, 0, 0.0, "", [], {}]
+)
+@pytest.mark.parametrize("flag", [[], ["--free"]])
+def test_a_truthy_free_key_stands_in_for_the_triple(capsys, monkeypatch, free, flag):
+    # The key of a record decides, in every JSON type; the --free flag is
+    # ignored under --batch.
+    record = json.dumps({"free": free, "seq": [2, 1], "m": 1, "lambda": 2})
+    code, out = run_batch(
+        capsys, monkeypatch, ["tpq-descend", "--p", "3", "--q", "8", "--batch", *flag],
+        [record, json.dumps({"free": free})],
+    )
+    assert code == 0
+    if free:
+        assert out == '{"labels":[{"kind":"free"}]}\n' * 2
+    else:
+        assert out.splitlines() == [
+            '{"labels":[{"kind":"single","seq":[2,1],"m":1,"lam":"2"}]}',
+            '{"error":{"kind":"invalid_input","message":"missing field \'seq\'"}}',
+        ]
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_a_closed_stdout_exits_zero(monkeypatch, batch):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"seq": [3, 4, 1, 2]}\n'))
+    monkeypatch.setattr("sys.stdout", Closed())
+    argv = ["canon", "--s", "2"] + (["--batch"] if batch else ["--seq", "3,4,1,2"])
+    assert main(argv) == 0
+
+
 # ------------------------------------------------------------ the shim
 
 

@@ -5,6 +5,7 @@ run-counting definitions and cross-checked against the linear-algebra
 oracle (see test_oracle / test_acceptance for the systematic sweeps).
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,24 @@ def test_a_sequence_on_another_cycle_gets_the_one_mismatch_message():
         classify_label(BundleTriple(seq, 1, 2), geom)
     with pytest.raises(ValueError, match="^sequence has s=1 but the geometry has s=2$"):
         apply_sigma(tpq, SSeq(1, (1,)))
+
+
+# Every call that builds a triple from a caller's sequence, as (id, call with
+# the sequence).  tpq_quiver checks its base before it canonicalises it.
+TRIPLE_SEQS = [
+    ("triple", lambda seq: BundleTriple(seq, 1, 2)),
+    ("cohom_dims", lambda seq: cohom_dims(BundleTriple(seq, 1, 2))),
+    ("classify_label", lambda seq: classify_label(BundleTriple(seq, 1, 2), B1)),
+    ("tpq_quiver", lambda seq: tpq_quiver(geometry_of(3, 8), 2, bases=[(seq, 1)])),
+]
+
+
+@pytest.mark.parametrize("bad", [(1,), [1], (1, 0), "1", None])
+@pytest.mark.parametrize("make", [row[1] for row in TRIPLE_SEQS],
+                         ids=[row[0] for row in TRIPLE_SEQS])
+def test_a_triple_takes_only_an_sseq(make, bad):
+    with pytest.raises(ValueError, match=rf"^seq must be an SSeq, got {re.escape(repr(bad))}$"):
+        make(bad)
 
 
 # Every scalar of the public API, as (id, call with the scalar).

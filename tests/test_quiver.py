@@ -76,6 +76,11 @@ def test_ar_sequence_rejects_free():
         ar_sequence(B1, free_label(B1))
 
 
+def test_ar_sequence_rejects_other_geometry():
+    with pytest.raises(ValueError, match="^label belongs to a different geometry$"):
+        ar_sequence(CuspGeometry(1, (2,)), label((2,), 1, 3))
+
+
 def test_ar_sequence_rank_additive():
     for entries, m, lam in [((2,), 1, 3), ((2,), 3, 3), ((1,), 1, 1), ((0, 1), 2, 5)]:
         left = label(entries, m, lam)
@@ -489,6 +494,21 @@ def test_every_tube_matches_the_replaced_builders(build, geometry, depth):
 def test_export_empty_quiver():
     empty = ARQuiver(nodes=(), arrows=(), tubes=(), translate={})
     assert export_dot(empty) == "digraph ar_quiver {\n  rankdir=BT;\n}\n"
+
+
+def test_export_lists_a_node_in_no_tube_after_the_clusters():
+    quiver = ARQuiver(
+        nodes=(QuiverNode("a", "module", 1), QuiverNode("b", "module", 2),
+               QuiverNode("c", "single")),
+        arrows=(QuiverArrow("a", "b"),),
+        tubes=(Tube("T", 1, ("a",)),),
+        translate={},
+    )
+    assert export_dot(quiver) == (
+        "digraph ar_quiver {\n  rankdir=BT;\n  subgraph cluster_0 {\n"
+        '    label="T period 1";\n    "a" [label="a\\nrank 1"];\n  }\n'
+        '  "b" [label="b\\nrank 2"];\n  "c" [label="c"];\n  "a" -> "b";\n}\n'
+    )
 
 
 def test_export_counts_round_trip():

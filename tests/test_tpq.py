@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 from cuspcm import cusp, tpq
 from cuspcm import (
     BundleTriple,
+    CuspGeometry,
     KahnViolation,
     SSeq,
     TpqBranch,
+    TpqCase,
     TpqFree,
+    TpqGeometry,
     TpqKind,
     TpqSingle,
     apply_sigma,
@@ -66,6 +69,23 @@ def test_geometry_rejects_non_cusps():
         geometry_of(3, 6)  # 1/3 + 1/6 = 1/2 exactly
     with pytest.raises(ValueError):
         geometry_of(4, 4)
+
+
+def test_a_directly_built_geometry_must_be_geometry_of():
+    assert TpqGeometry(3, 8, CuspGeometry(2, (1, 0)), None, TpqCase.P3) == G38
+    wrong = [
+        # The cycle of T_3,7 under T_3,8: descend would split M([1],1,-1)
+        # on a cycle that T_3,8's cover does not have.
+        (3, 8, CuspGeometry(1, (1,)), None, TpqCase.P3),
+        (3, 8, G38.cusp, 1, TpqCase.P3),
+        (3, 8, G38.cusp, None, TpqCase.P4),
+        (5, 5, G55.cusp, None, TpqCase.P5PLUS),
+    ]
+    for fields in wrong:
+        with pytest.raises(ValueError, match=r"^not the double cover of T_\d,\d: "):
+            TpqGeometry(*fields)
+    with pytest.raises(ValueError, match="^p must be at least 3, got 2$"):
+        TpqGeometry(2, 9, CuspGeometry(1, (1,)), None, TpqCase.P3)
 
 
 # ---------------------------------------------------------------- sigma
@@ -271,6 +291,13 @@ def test_iso_examples():
     )
     assert not tpq_iso(G38, a, b)
     assert tpq_iso(G38, a, a)
+
+
+def test_iso_rejects_other_geometry():
+    a = single((1, 2), 1, 3)
+    for geom, b in [(G55, a), (G38, TpqFree(G55)), (G38, single((1, 0), 1, 3, G55))]:
+        with pytest.raises(ValueError, match="^labels belong to a different geometry$"):
+            tpq_iso(geom, a, b)
 
 
 def test_iso_mixed_kinds_differ():
