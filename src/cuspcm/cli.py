@@ -27,7 +27,6 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, TextIO
 
@@ -35,7 +34,7 @@ from . import __version__
 from .cohomology import (
     BundleTriple, CohomReport, CuspGeometry, KahnViolation, cohom_dims,
 )
-from .sequences import SSeq, canonical_form, is_aperiodic
+from .sequences import SSeq, _frozen, canonical_form, is_aperiodic
 
 if TYPE_CHECKING:
     from .cusp import CMModuleLabel
@@ -358,7 +357,7 @@ def _tpq(args: argparse.Namespace):
     return geom, geom.cusp.s
 
 
-@dataclass(frozen=True)
+@_frozen
 class Command:
     """One subcommand: its flags and what each step of `_run` does for it."""
 

@@ -15,12 +15,11 @@ by one copy of b per walk of the cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import _EXPORTS
-from .sequences import SSeq, _count
+from .sequences import SSeq, _count, _frozen
 
 __all__ = _EXPORTS["cohomology"]
 
@@ -41,13 +40,22 @@ def _scalar(lam: Fraction | int | str) -> Fraction:
     return lam
 
 
+def _geometry(geom: object, kind: type) -> None:
+    # The one geometry rule: a function made for one kind of geometry, cusp
+    # or T_pq, is given that kind, and the other kind fails here, not later.
+    if type(geom) is not kind:
+        raise ValueError(f"expected a {kind.__name__}, got {type(geom).__name__}")
+
+
 def _same_s(seq: SSeq, geom: CuspGeometry) -> None:
-    # The one rule that ties a sequence to a geometry: the same cycle.
+    # The one rule that ties a sequence to a geometry: a cusp geometry of
+    # the same cycle.
+    _geometry(geom, CuspGeometry)
     if seq.s != geom.s:
         raise ValueError(f"sequence has s={seq.s} but the geometry has s={geom.s}")
 
 
-@dataclass(frozen=True)
+@_frozen
 class BundleTriple:
     """Parameters (d, m, lam) of an indecomposable bundle on the cycle.
 
@@ -71,7 +79,7 @@ class BundleTriple:
         return f"({self.seq},{self.m},{self.lam})"
 
 
-@dataclass(frozen=True)
+@_frozen
 class CuspGeometry:
     """Cycle length s and per-component twist weights b of a degenerate cusp.
 
@@ -105,7 +113,7 @@ class CuspGeometry:
         return SSeq(self.s, self.b)
 
 
-@dataclass(frozen=True)
+@_frozen
 class CohomReport:
     """The combinatorial counts theta and delta with the resulting h^0, h^1."""
 
@@ -190,12 +198,21 @@ def kahn_violation(triple: BundleTriple) -> KahnViolation:
 
 def twist_by_cycle(seq: SSeq, geom: CuspGeometry) -> SSeq:
     """Subtract one copy of the weights b from every walk of the cycle."""
+    _same_s(seq, geom)
     return SSeq(seq.s, tuple(_twist(seq, geom)))
 
 
 def _twist(seq: SSeq, geom: CuspGeometry) -> list[int]:
-    _same_s(seq, geom)
+    # seq is checked against geom
     return [v - w for v, w in zip(seq.entries, geom.b * seq.r)]
+
+
+def _exists(triple: BundleTriple, geom: CuspGeometry) -> None:
+    # The one existence rule for the module of a triple over a cusp: the
+    # same cycle, then Kahn's test.
+    _same_s(triple.seq, geom)
+    if not kahn_condition(triple):
+        raise kahn_violation(triple)
 
 
 def n_global(triple: BundleTriple, geom: CuspGeometry) -> int:
@@ -205,10 +222,10 @@ def n_global(triple: BundleTriple, geom: CuspGeometry) -> int:
     pushed down to the singularity.
 
     Raises:
+        ValueError: for a geometry that is not a CuspGeometry, or another s.
         KahnViolation: when the triple fails the existence test.
     """
-    if not kahn_condition(triple):
-        raise kahn_violation(triple)
+    _exists(triple, geom)
     return _dims(_twist(triple.seq, geom), triple.m, triple.lam)[2]
 
 

@@ -15,20 +15,14 @@ from wilder singularities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 
 from . import _EXPORTS
-from .cohomology import (
-    BundleTriple,
-    CuspGeometry,
-    _same_s,
-    kahn_condition,
-    kahn_violation,
-    module_rank,
+from .cohomology import BundleTriple, CuspGeometry, _exists, _geometry, module_rank
+from .sequences import (
+    SSeq, _checked, _count, _frozen, canonical_form, is_aperiodic,
 )
-from .sequences import SSeq, _checked, _count, canonical_form, is_aperiodic
 
 __all__ = _EXPORTS["cusp"]
 
@@ -39,7 +33,7 @@ class LambdaBase(Enum):
     NONZERO_EXCEPT_ONE = "nonzero_except_one"
 
 
-@dataclass(frozen=True)
+@_frozen
 class CMModuleLabel:
     """One point of the classification: the free module or a bundle triple.
 
@@ -74,7 +68,7 @@ class CMModuleLabel:
         return f"M({t.seq},{t.m},{t.lam})"
 
 
-@dataclass(frozen=True)
+@_frozen
 class FamilyDescriptor:
     """A one-parameter family M(seq, m, -) of fixed rank.
 
@@ -89,7 +83,7 @@ class FamilyDescriptor:
     rank: int
 
 
-@dataclass(frozen=True)
+@_frozen
 class RankSlice:
     """Everything indecomposable of one fixed rank."""
 
@@ -99,7 +93,7 @@ class RankSlice:
     exceptional: tuple[CMModuleLabel, ...]
 
 
-@dataclass(frozen=True)
+@_frozen
 class GrowthTable:
     """Family counts per rank, with the lone non-family modules listed."""
 
@@ -109,6 +103,7 @@ class GrowthTable:
 
 def free_label(geom: CuspGeometry) -> CMModuleLabel:
     """The rank-1 free module A."""
+    _geometry(geom, CuspGeometry)
     return _checked(CMModuleLabel, geom, None, 1)
 
 
@@ -119,21 +114,27 @@ def classify_label(triple: BundleTriple, geom: CuspGeometry) -> CMModuleLabel:
     module is computed and cached on the label.
 
     Raises:
+        ValueError: periodic sequence, component count mismatch, or a
+            geometry that is not a CuspGeometry.
         KahnViolation: no module exists for these parameters.
-        ValueError: periodic sequence, or component count mismatch.
     """
-    canon = _canonical_triple(triple, geom)
-    return _checked(CMModuleLabel, geom, canon, module_rank(canon, geom))
+    canon = _canonical(triple)
+    # module_rank checks that the module exists, naming this rotation
+    return _checked(CMModuleLabel, geom, canon, module_rank(triple, geom))
 
 
 def _canonical_triple(triple: BundleTriple, geom: CuspGeometry) -> BundleTriple:
-    # The label check without the rank: the component count, aperiodicity
-    # and Kahn's test, then the canonical rotation of the same m and lam.
-    _same_s(triple.seq, geom)
+    # The label check without the rank: aperiodicity, then the component
+    # count and Kahn's test, as classify_label checks them.
+    canon = _canonical(triple)
+    _exists(triple, geom)
+    return canon
+
+
+def _canonical(triple: BundleTriple) -> BundleTriple:
+    # The canonical rotation of an aperiodic triple, with the same m and lam.
     if not is_aperiodic(triple.seq):
         raise ValueError(f"periodic sequence {triple.seq} does not label a module")
-    if not kahn_condition(triple):  # before canonicalising, to name this rotation
-        raise kahn_violation(triple)
     return _checked(BundleTriple, canonical_form(triple.seq), triple.m, triple.lam)
 
 
@@ -245,6 +246,7 @@ def enumerate_rank(geom: CuspGeometry, rank: int) -> RankSlice:
     search for the exact section count rank/m - r.  A sequence has one
     section count, so its m is unique and each r sorts by sequence alone.
     """
+    _geometry(geom, CuspGeometry)
     _count("rank", rank)
     s = geom.s
     special = ((0,) * s, geom.b)  # the families without lam = 1

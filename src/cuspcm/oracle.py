@@ -28,14 +28,13 @@ module serves as an oracle for the formulas in `cohomology`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import _EXPORTS
 from .cohomology import BundleTriple, CohomReport, _scalar, cohom_dims, delta
-from .sequences import SSeq, enumerate_canonical
+from .sequences import SSeq, _frozen, enumerate_canonical
 
 __all__ = _EXPORTS["oracle"]
 
@@ -44,7 +43,7 @@ DOUBLE_PRIME = 1
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
+@_frozen
 class OracleSpace:
     """Presentation data for one triple.
 
@@ -219,7 +218,7 @@ def oracle_dims(triple: BundleTriple) -> CohomReport:
     return CohomReport(theta=th, delta=de, h0=m * pos - rk, h1=m * rs - rk + m * neg)
 
 
-@dataclass(frozen=True)
+@_frozen
 class VerifyReport:
     """Formula and oracle reports side by side for one triple."""
 
@@ -236,7 +235,7 @@ def verify_formula(triple: BundleTriple) -> VerifyReport:
     return VerifyReport(formula=f, oracle=o, agree=f.h0 == o.h0 and f.h1 == o.h1)
 
 
-@dataclass(frozen=True)
+@_frozen
 class GridReport:
     """Aggregate result of a formula-vs-oracle sweep.
 

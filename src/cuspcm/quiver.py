@@ -13,12 +13,11 @@ construction order, exportable as DOT or as JSON-ready dictionaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import _EXPORTS
-from .cohomology import BundleTriple, CuspGeometry, _scalar
+from .cohomology import BundleTriple, CuspGeometry, _geometry, _scalar
 from .cusp import (
     CMModuleLabel,
     LambdaBase,
@@ -27,33 +26,39 @@ from .cusp import (
     enumerate_rank,
     free_label,
 )
-from .sequences import SSeq, _checked, _count, canonical_form
+from .sequences import SSeq, _checked, _count, _frozen, canonical_form
 from .tpq import TpqFree, TpqGeometry, _flip, _splits
 
 __all__ = _EXPORTS["quiver"]
 
 
-@dataclass(frozen=True)
+@_frozen
 class QuiverNode:
+    """One module in a quiver: its id, its kind and its rank where defined."""
+
     id: str
     kind: str
     rank: int | None = None
 
 
-@dataclass(frozen=True)
+@_frozen
 class QuiverArrow:
+    """An irreducible map between two nodes, by node id."""
+
     src: str
     dst: str
 
 
-@dataclass(frozen=True)
+@_frozen
 class Tube:
+    """One AR tube: its id, its period and its member node ids in order."""
+
     id: str
     period: int
     members: tuple[str, ...]
 
 
-@dataclass(frozen=True, eq=True)
+@_frozen
 class ARQuiver:
     """Nodes, arrows, tubes and the AR translation on node ids.
 
@@ -67,7 +72,7 @@ class ARQuiver:
     translate: dict[str, str]
 
 
-@dataclass(frozen=True)
+@_frozen
 class ARSequence:
     """An almost split sequence 0 -> left -> sum(middle) -> right -> 0."""
 
@@ -260,10 +265,12 @@ def tpq_quiver(
     once, from its first representative in order.
 
     Raises:
-        ValueError: for a depth or max_base_rank not an int >= 1, not exactly
-            one of max_base_rank and bases, lam = 0, or a base that
-            classify_label rejects (KahnViolation: no module).
+        ValueError: for a geometry that is not a TpqGeometry, a depth or
+            max_base_rank not an int >= 1, not exactly one of max_base_rank
+            and bases, lam = 0, or a base that classify_label rejects
+            (KahnViolation: no module).
     """
+    _geometry(geom, TpqGeometry)
     _count("depth", depth)
     if (bases is None) == (max_base_rank is None):
         raise ValueError("give exactly one of max_base_rank or bases")

@@ -11,14 +11,78 @@ enumeration of canonical representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import _EXPORTS
 
 __all__ = _EXPORTS["sequences"]
 
 
-@dataclass(frozen=True)
+def _count(name: str, value: object, positive: bool = True) -> None:
+    # The one count rule: exactly an int (bool and float are rejected), >= 1.
+    # A caller with a stronger lower bound passes positive=False and checks it.
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if positive and value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a frozen value."""
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _frozen(cls):
+    # The frozen value class that @dataclass(frozen=True) would make of cls,
+    # written from one exec of per-class source.  The fields are the
+    # annotations (strings) that are not ClassVar, in order; a class
+    # attribute named after a field is its default.  __init__ sets the
+    # fields in order, then calls __post_init__ if cls has one; __repr__,
+    # __eq__ (same class only) and __hash__ are the dataclass ones; _trusted
+    # builds an instance from checked values without __post_init__.
+    names = [n for n, a in cls.__annotations__.items() if not a.startswith("ClassVar")]
+    defaults = {f"_d_{n}": vars(cls)[n] for n in names if n in vars(cls)}
+    params = ", ".join(f"{n}=_d_{n}" if f"_d_{n}" in defaults else n for n in names)
+    sets = "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
+    mine, theirs = ("".join(f"{who}.{n}," for n in names) for who in ("self", "other"))
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+    source = (
+        f"def __init__(self, {params}):\n{sets}{post}"
+        f"def _trusted({', '.join(names)}):\n    self = _new(_cls)\n{sets}"
+        "    return self\n"
+        "def __repr__(self):\n"
+        f'    return self.__class__.__qualname__ + f"({shown})"\n'
+        "def __eq__(self, other):\n"
+        "    if other.__class__ is self.__class__:\n"
+        f"        return ({mine}) == ({theirs})\n"
+        "    return NotImplemented\n"
+        f"def __hash__(self):\n    return hash(({mine}))\n"
+    )
+    written: dict = {}
+    scope = {"_new": object.__new__, "_set": object.__setattr__, "_cls": cls}
+    exec(source, {**scope, **defaults}, written)
+    for name, fn in written.items():
+        fn.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, staticmethod(fn) if name == "_trusted" else fn)
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    cls.__match_args__ = tuple(names)
+    return cls
+
+
+def _checked(cls, *values):
+    # An instance of the frozen class cls from values already checked: the
+    # fields are set in order, as __init__ sets them, and __post_init__ is
+    # skipped.
+    return cls._trusted(*values)
+
+
+@_frozen
 class SSeq:
     """An integer sequence of length r*s, considered up to rotation by s.
 
@@ -51,28 +115,6 @@ class SSeq:
 
     def __str__(self) -> str:
         return "[" + ",".join(str(e) for e in self.entries) + "]"
-
-
-def _count(name: str, value: object, positive: bool = True) -> None:
-    # The one count rule: exactly an int (bool and float are rejected), >= 1.
-    # A caller with a stronger lower bound passes positive=False and checks it.
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if positive and value < 1:
-        raise ValueError(f"{name} must be positive, got {value}")
-
-
-_new, _set = object.__new__, object.__setattr__
-
-
-def _checked(cls, *values):
-    # An instance of the frozen dataclass cls from values already checked:
-    # the fields are set in order, as the dataclass __init__ sets them, and
-    # __post_init__ is skipped.
-    obj = _new(cls)
-    for name, value in zip(cls.__match_args__, values):
-        _set(obj, name, value)
-    return obj
 
 
 def shift_by(seq: SSeq, k: int) -> SSeq:

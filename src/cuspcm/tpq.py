@@ -12,16 +12,15 @@ to a single module determined up to the flip (d, lam) -> (sigma d, 1/lam).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import ClassVar
 
 from . import _EXPORTS
-from .cohomology import BundleTriple, CuspGeometry, _same_s
+from .cohomology import BundleTriple, CuspGeometry, _geometry, _same_s
 from .cohomology import kahn_condition, kahn_violation
 from .cusp import CMModuleLabel, _canonical_triple
-from .sequences import SSeq, _checked, _count, canonical_form
+from .sequences import SSeq, _checked, _count, _frozen, canonical_form
 
 __all__ = _EXPORTS["tpq"]
 
@@ -32,7 +31,7 @@ class TpqCase(Enum):
     P5PLUS = "P5plus"
 
 
-@dataclass(frozen=True)
+@_frozen
 class TpqGeometry:
     """Resolution data of the double cover of T_pq.
 
@@ -100,6 +99,7 @@ def apply_sigma(geom: TpqGeometry, seq: SSeq) -> SSeq:
     Entry i of the result is entry (axis + 1 - i) of the input, indices
     cyclic: the reflection of the index circle anchored at the axis.
     """
+    _geometry(geom, TpqGeometry)
     _same_s(seq, geom.cusp)
     e = seq.entries
     n = len(e)
@@ -143,18 +143,21 @@ class TpqKind(Enum):
     SPLIT = "split"
 
 
-@dataclass(frozen=True)
+@_frozen
 class TpqFree:
     """The free module A' over the curve T_pq."""
 
     geometry: TpqGeometry
     kind: ClassVar[TpqKind] = TpqKind.FREE
 
+    def __post_init__(self) -> None:
+        _geometry(self.geometry, TpqGeometry)
+
     def __str__(self) -> str:
         return "A'"
 
 
-@dataclass(frozen=True)
+@_frozen
 class TpqSingle:
     """The module N(seq, m, lam) below surface data that is not sigma-fixed.
 
@@ -168,6 +171,7 @@ class TpqSingle:
     kind: ClassVar[TpqKind] = TpqKind.SINGLE
 
     def __post_init__(self) -> None:
+        _geometry(self.geometry, TpqGeometry)
         triple = BundleTriple(self.seq, self.m, self.lam)
         t = _canonical_triple(triple, self.geometry.cusp)
         if _splits(self.geometry, t.seq, t.lam):
@@ -179,7 +183,7 @@ class TpqSingle:
         return f"N({self.seq},{self.m},{self.lam})"
 
 
-@dataclass(frozen=True)
+@_frozen
 class TpqBranch:
     """Branch module N_branch(seq, m, sign), branch 1 or 2, of the pair that
     sigma-symmetric seq with lam = sign in {+1, -1} splits into."""
@@ -192,6 +196,7 @@ class TpqBranch:
     kind: ClassVar[TpqKind] = TpqKind.SPLIT
 
     def __post_init__(self) -> None:
+        _geometry(self.geometry, TpqGeometry)
         if type(self.sign) is not int or self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
         if type(self.branch) is not int or self.branch not in (1, 2):
@@ -217,6 +222,7 @@ def descend(geom: TpqGeometry, label: CMModuleLabel) -> list[TpqModuleLabel]:
     is sigma-symmetric and whose lam is +1 or -1 splits into the two branch
     modules; every other triple descends to one single module.
     """
+    _geometry(geom, TpqGeometry)
     if label.geometry != geom.cusp:
         raise ValueError("label belongs to a different geometry")
     if label.is_free:

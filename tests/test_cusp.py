@@ -13,7 +13,7 @@ from itertools import product
 
 import pytest
 
-from cuspcm import cusp
+from cuspcm import cohomology, cusp
 from cuspcm import (
     BundleTriple,
     CMModuleLabel,
@@ -145,6 +145,28 @@ def test_classify_label_examples():
         classify_label(BundleTriple(SSeq(2, (1, 0, 1, 0)), 1, Fraction(2)), geom)
     with pytest.raises(ValueError):
         classify_label(BundleTriple(SSeq(2, (1, 0)), 1, Fraction(2)), B1)
+
+
+def test_classify_label_checks_each_rule_once(monkeypatch):
+    # The component count and Kahn's test run once per label, in module_rank;
+    # the aperiodicity check runs before them.
+    calls = []
+
+    def counting(name):
+        real = getattr(cohomology, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(cohomology, name, counted)
+
+    counting("_same_s")
+    counting("kahn_condition")
+    lab = classify_label(BundleTriple(SSeq(2, (2, 0, 1, 3)), 1, Fraction(-2)),
+                         CuspGeometry(2, (1, 0)))
+    assert (str(lab), lab.rank) == ("M([1,3,2,0],1,-2)", 6)
+    assert calls == ["_same_s", "kahn_condition"]
 
 
 def test_classify_label_canonicalizes():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cuspcm import cusp, tpq
 from cuspcm import (
     BundleTriple,
+    CMModuleLabel,
     CuspGeometry,
     KahnViolation,
     SSeq,
@@ -20,19 +21,30 @@ from cuspcm import (
     TpqKind,
     TpqSingle,
     apply_sigma,
+    build_tube,
     canonical_form,
     classify_label,
+    cusp_quiver,
     descend,
+    enumerate_rank,
+    family_counts,
     free_label,
     geometry_of,
     is_sigma_symmetric,
+    module_rank,
+    n_global,
     shift_by,
     sigma_of_module,
     tpq_iso,
+    tpq_quiver,
+    twist_by_cycle,
 )
 
 G38 = geometry_of(3, 8)
 G55 = geometry_of(5, 5)
+B1 = CuspGeometry(1, (1,))
+M1 = BundleTriple(SSeq(1, (1,)), 1, 2)
+M38 = BundleTriple(SSeq(2, (1, 0)), 1, 2)
 
 CASES = [(3, 7), (3, 8), (4, 5), (4, 6), (5, 5), (5, 6), (6, 7)]
 
@@ -260,6 +272,39 @@ def test_curve_labels_check_without_the_rank(monkeypatch):
     branch = TpqBranch(G38, SSeq(2, (1, 0)), 1, -1, 2)
     assert (str(single), str(branch)) == ("N([1,2,3,4],1,5)", "N2([1,0],1,-1)")
     assert calls == []
+
+
+# Each call, given the other kind of geometry -> the kind it needs.
+WRONG_KIND = {
+    "CMModuleLabel-free": (lambda: CMModuleLabel(G38, None, 1), "CuspGeometry"),
+    "CMModuleLabel-module": (lambda: CMModuleLabel(G38, M38, 1), "CuspGeometry"),
+    "free_label": (lambda: free_label(G38), "CuspGeometry"),
+    "classify_label": (lambda: classify_label(M38, G38), "CuspGeometry"),
+    "module_rank": (lambda: module_rank(M38, G38), "CuspGeometry"),
+    "n_global": (lambda: n_global(M38, G38), "CuspGeometry"),
+    "twist_by_cycle": (lambda: twist_by_cycle(M38.seq, G38), "CuspGeometry"),
+    "enumerate_rank": (lambda: enumerate_rank(G38, 1), "CuspGeometry"),
+    "family_counts": (lambda: family_counts(G38, 2), "CuspGeometry"),
+    "build_tube": (lambda: build_tube(G38, M38.seq, 2, 1), "CuspGeometry"),
+    "cusp_quiver": (lambda: cusp_quiver(G38, 1, 1), "CuspGeometry"),
+    "TpqFree": (lambda: TpqFree(B1), "TpqGeometry"),
+    "TpqSingle": (lambda: TpqSingle(B1, M1.seq, 1, 2), "TpqGeometry"),
+    "TpqBranch": (lambda: TpqBranch(B1, M1.seq, 1, 1, 1), "TpqGeometry"),
+    "apply_sigma": (lambda: apply_sigma(B1, M1.seq), "TpqGeometry"),
+    "is_sigma_symmetric": (lambda: is_sigma_symmetric(B1, M1.seq), "TpqGeometry"),
+    "sigma_of_module": (lambda: sigma_of_module(B1, M1), "TpqGeometry"),
+    "descend-free": (lambda: descend(B1, free_label(B1)), "TpqGeometry"),
+    "descend-module": (lambda: descend(B1, classify_label(M1, B1)), "TpqGeometry"),
+    "tpq_quiver-rank": (lambda: tpq_quiver(B1, 1, max_base_rank=1), "TpqGeometry"),
+    "tpq_quiver-bases": (lambda: tpq_quiver(B1, 1, bases=[((1,), 2)]), "TpqGeometry"),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_KIND)
+def test_a_geometry_of_the_wrong_kind_is_a_value_error(case):
+    call, kind = WRONG_KIND[case]
+    with pytest.raises(ValueError, match=f"^expected a {kind}, got "):
+        call()
 
 
 def test_descend_rejects_other_geometry():
