@@ -188,14 +188,6 @@ def kahn_condition(triple: BundleTriple) -> bool:
     return triple.lam != 1
 
 
-def kahn_violation(triple: BundleTriple) -> KahnViolation:
-    """The error for a triple that fails the existence test, naming it."""
-    return KahnViolation(
-        f"no CM module for {triple}: the sequence must be non-negative "
-        "and either positive somewhere or zero with lam != 1"
-    )
-
-
 def twist_by_cycle(seq: SSeq, geom: CuspGeometry) -> SSeq:
     """Subtract one copy of the weights b from every walk of the cycle."""
     _same_s(seq, geom)
@@ -209,10 +201,13 @@ def _twist(seq: SSeq, geom: CuspGeometry) -> list[int]:
 
 def _exists(triple: BundleTriple, geom: CuspGeometry) -> None:
     # The one existence rule for the module of a triple over a cusp: the
-    # same cycle, then Kahn's test.
+    # same cycle, then Kahn's test.  The only place a KahnViolation is made.
     _same_s(triple.seq, geom)
     if not kahn_condition(triple):
-        raise kahn_violation(triple)
+        raise KahnViolation(
+            f"no CM module for {triple}: the sequence must be non-negative "
+            "and either positive somewhere or zero with lam != 1"
+        )
 
 
 def n_global(triple: BundleTriple, geom: CuspGeometry) -> int:

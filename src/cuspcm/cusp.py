@@ -16,13 +16,12 @@ from wilder singularities.
 from __future__ import annotations
 
 from enum import Enum
+from fractions import Fraction
 from operator import attrgetter
 
 from . import _EXPORTS
 from .cohomology import BundleTriple, CuspGeometry, _exists, _geometry, module_rank
-from .sequences import (
-    SSeq, _checked, _count, _frozen, canonical_form, is_aperiodic,
-)
+from .sequences import SSeq, _count, _frozen, canonical_form, is_aperiodic
 
 __all__ = _EXPORTS["cusp"]
 
@@ -104,7 +103,7 @@ class GrowthTable:
 def free_label(geom: CuspGeometry) -> CMModuleLabel:
     """The rank-1 free module A."""
     _geometry(geom, CuspGeometry)
-    return _checked(CMModuleLabel, geom, None, 1)
+    return CMModuleLabel._trusted(geom, None, 1)
 
 
 def classify_label(triple: BundleTriple, geom: CuspGeometry) -> CMModuleLabel:
@@ -120,7 +119,7 @@ def classify_label(triple: BundleTriple, geom: CuspGeometry) -> CMModuleLabel:
     """
     canon = _canonical(triple)
     # module_rank checks that the module exists, naming this rotation
-    return _checked(CMModuleLabel, geom, canon, module_rank(triple, geom))
+    return CMModuleLabel._trusted(geom, canon, module_rank(triple, geom))
 
 
 def _canonical_triple(triple: BundleTriple, geom: CuspGeometry) -> BundleTriple:
@@ -135,7 +134,12 @@ def _canonical(triple: BundleTriple) -> BundleTriple:
     # The canonical rotation of an aperiodic triple, with the same m and lam.
     if not is_aperiodic(triple.seq):
         raise ValueError(f"periodic sequence {triple.seq} does not label a module")
-    return _checked(BundleTriple, canonical_form(triple.seq), triple.m, triple.lam)
+    return BundleTriple._trusted(canonical_form(triple.seq), triple.m, triple.lam)
+
+
+def _special(geom: CuspGeometry, seq: SSeq, lam: Fraction) -> bool:
+    # The one jump rule: M(B, m, 1) has rank m + 1, and A is glued to its tube.
+    return lam == 1 and seq.entries == geom.b
 
 
 def _tube_level(label: CMModuleLabel, m: int) -> CMModuleLabel:
@@ -143,10 +147,10 @@ def _tube_level(label: CMModuleLabel, m: int) -> CMModuleLabel:
     # sequence and lam object, no check re-run.  The rank is affine in m,
     # m*(r + c) + j with j = 1 only over (B, 1).
     t = label.triple
-    j = 1 if t.lam == 1 and t.seq.entries == label.geometry.b else 0
-    triple = _checked(BundleTriple, t.seq, m, t.lam)
-    return _checked(CMModuleLabel, label.geometry, triple,
-                    (label.rank - j) // t.m * m + j)
+    j = 1 if _special(label.geometry, t.seq, t.lam) else 0
+    triple = BundleTriple._trusted(t.seq, m, t.lam)
+    return CMModuleLabel._trusted(label.geometry, triple,
+                                  (label.rank - j) // t.m * m + j)
 
 
 def _twist_candidates(geom: CuspGeometry, r: int, slack: int) -> list[tuple[int, ...]]:
@@ -259,7 +263,7 @@ def enumerate_rank(geom: CuspGeometry, rank: int) -> RankSlice:
                 continue
             for entries in _twist_candidates(geom, r, rank // m - r):
                 # the search made an int tuple of length r*s: checked data
-                seq = _checked(SSeq, s, entries)
+                seq = SSeq._trusted(s, entries)
                 if not is_aperiodic(seq) or canonical_form(seq) is not seq:
                     continue
                 base = except_one if entries in special else every

@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 from . import _EXPORTS
 from .cohomology import BundleTriple, CohomReport, _scalar, cohom_dims, delta
-from .sequences import SSeq, _frozen, enumerate_canonical
+from .sequences import SSeq, _count, _frozen, enumerate_canonical
 
 __all__ = _EXPORTS["oracle"]
 
@@ -279,9 +279,13 @@ def verify_grid(
     rk h = m*theta(d) - delta(d, lam).  Zero tolerance throughout.
 
     Raises:
-        ValueError: for an s below 1, lam = 0, a repeated s, m or lam (compared as
-            Fractions, so 2 and "4/2" repeat), or a box that holds no case.
+        ValueError: for an rs_max or s that is not an int, an s below 1,
+            lam = 0, a repeated s, m or lam (compared as Fractions, so 2 and
+            "4/2" repeat), or a box that holds no case.
     """
+    _count("rs_max", rs_max, positive=False)
+    for s in s_values:
+        _count("s", s, positive=False)
     if any(s < 1 for s in s_values):
         raise ValueError(f"s must be at least 1, got {min(s_values)}")
     lams = tuple(map(_scalar, lambdas))

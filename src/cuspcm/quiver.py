@@ -21,12 +21,13 @@ from .cohomology import BundleTriple, CuspGeometry, _geometry, _scalar
 from .cusp import (
     CMModuleLabel,
     LambdaBase,
+    _special,
     _tube_level,
     classify_label,
     enumerate_rank,
     free_label,
 )
-from .sequences import SSeq, _checked, _count, _frozen, canonical_form
+from .sequences import SSeq, _count, _frozen, canonical_form
 from .tpq import TpqFree, TpqGeometry, _flip, _splits
 
 __all__ = _EXPORTS["quiver"]
@@ -106,7 +107,7 @@ def ar_sequence(geom: CuspGeometry, label: CMModuleLabel) -> ARSequence:
         middle: tuple[CMModuleLabel, ...] = (
             _tube_level(label, t.m + 1), _tube_level(label, t.m - 1),
         )
-    elif t.seq.entries == geom.b and t.lam == 1:
+    elif _special(geom, t.seq, t.lam):
         middle = (free_label(geom), _tube_level(label, 2))
     else:
         middle = (_tube_level(label, 2),)
@@ -137,7 +138,7 @@ def build_tube(
     levels = [[QuiverNode(str(lab), "module", lab.rank)] for lab in labels]
     base = bottom.triple.seq  # canonical
     free = None
-    if base.entries == geom.b and lam == 1:
+    if _special(geom, base, lam):
         a = free_label(geom)
         free = QuiverNode(str(a), "free", a.rank)
     return _tube(f"T({base},{lam})", levels, free)
@@ -199,12 +200,9 @@ def _base_points(
                 continue
             for lam in lams:
                 if lam == 1 and fam.base is LambdaBase.NONZERO_EXCEPT_ONE:
-                    # Either no module at lam = 1 (zero sequence) or the
-                    # special base M(B, 1, 1); keep the latter if its rank
-                    # still fits.
-                    if fam.seq.entries != geom.b:
-                        continue
-                    if rank + 1 > max_base_rank:
+                    # No module over the zero sequence; M(B, 1, 1) is one
+                    # rank above its family, kept if that still fits.
+                    if not _special(geom, fam.seq, lam) or rank + 1 > max_base_rank:
                         continue
                 points.append((fam.seq, lam))
     return points
@@ -245,7 +243,7 @@ def _tpq_tube(
         return _tube(f"T({text},{lam})", levels)
     levels = [(QuiverNode(f"N1({text},{m},{lam})", "split"),
                QuiverNode(f"N2({text},{m},{lam})", "split")) for m in ms]
-    special = seq.entries == geom.cusp.b and lam == 1
+    special = _special(geom.cusp, seq, lam)
     free = QuiverNode(str(TpqFree(geom)), "free") if special else None
     return _tube(f"T({text},{lam})", levels, free)
 
@@ -281,7 +279,7 @@ def tpq_quiver(
         for seq, lam in bases:
             # Checked first; a rejection names the canonical rotation.
             t = BundleTriple(seq, 1, lam)
-            canon = _checked(BundleTriple, canonical_form(seq), 1, t.lam)
+            canon = BundleTriple._trusted(canonical_form(seq), 1, t.lam)
             base = classify_label(canon, geom.cusp)
             points.append((base.triple.seq, base.triple.lam))
     seen: set[tuple[tuple[int, ...], Fraction]] = set()

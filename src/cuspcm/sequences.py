@@ -75,13 +75,6 @@ def _frozen(cls):
     return cls
 
 
-def _checked(cls, *values):
-    # An instance of the frozen class cls from values already checked: the
-    # fields are set in order, as __init__ sets them, and __post_init__ is
-    # skipped.
-    return cls._trusted(*values)
-
-
 @_frozen
 class SSeq:
     """An integer sequence of length r*s, considered up to rotation by s.
@@ -118,7 +111,12 @@ class SSeq:
 
 
 def shift_by(seq: SSeq, k: int) -> SSeq:
-    """Rotate by k copies of the cycle; entry i of the result is entry i + k*s."""
+    """Rotate by k copies of the cycle; entry i of the result is entry i + k*s.
+
+    Raises:
+        ValueError: for a k that is not an int.
+    """
+    _count("k", k, positive=False)
     cut = (k % seq.r) * seq.s
     return SSeq(seq.s, seq.entries[cut:] + seq.entries[:cut])
 
@@ -148,7 +146,7 @@ def canonical_form(seq: SSeq) -> SSeq:
         rot = twice[cut:cut + n]
         if rot < best:
             best = rot
-    return seq if best is e else _checked(SSeq, s, best)
+    return seq if best is e else SSeq._trusted(s, best)
 
 
 def enumerate_canonical(s: int, max_r: int, lo: int, hi: int) -> list[SSeq]:
@@ -179,7 +177,7 @@ def enumerate_canonical(s: int, max_r: int, lo: int, hi: int) -> list[SSeq]:
         p = s  # the period of a, a multiple of s
         while True:
             if p == n:
-                found.append(_checked(SSeq, s, tuple(a)))
+                found.append(SSeq._trusted(s, tuple(a)))
             # the next prenecklace: raise the last entry below hi, fill the
             # rest of its block with lo, then repeat the prefix up to there
             i = n - 1

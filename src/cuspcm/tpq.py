@@ -17,10 +17,9 @@ from fractions import Fraction
 from typing import ClassVar
 
 from . import _EXPORTS
-from .cohomology import BundleTriple, CuspGeometry, _geometry, _same_s
-from .cohomology import kahn_condition, kahn_violation
+from .cohomology import BundleTriple, CuspGeometry, _exists, _geometry, _same_s
 from .cusp import CMModuleLabel, _canonical_triple
-from .sequences import SSeq, _checked, _count, _frozen, canonical_form
+from .sequences import SSeq, _count, _frozen, canonical_form
 
 __all__ = _EXPORTS["tpq"]
 
@@ -90,7 +89,7 @@ def geometry_of(p: int, q: int) -> TpqGeometry:
         b[0] = 1
         b[t - 1] = 1
         cusp, case = CuspGeometry(s, tuple(b)), TpqCase.P5PLUS
-    return _checked(TpqGeometry, p, q, cusp, t, case)
+    return TpqGeometry._trusted(p, q, cusp, t, case)
 
 
 def apply_sigma(geom: TpqGeometry, seq: SSeq) -> SSeq:
@@ -131,8 +130,8 @@ def sigma_of_module(geom: TpqGeometry, triple: BundleTriple) -> BundleTriple:
     The reflected sequence is returned in canonical form.  Applying this
     twice gives back a triple shift-equivalent to the input.
     """
-    if not kahn_condition(triple):
-        raise kahn_violation(triple)
+    _geometry(geom, TpqGeometry)
+    _exists(triple, geom.cusp)
     seq, lam = _flip(geom, triple.seq, triple.lam)
     return BundleTriple(seq, triple.m, lam)
 
@@ -231,8 +230,8 @@ def descend(geom: TpqGeometry, label: CMModuleLabel) -> list[TpqModuleLabel]:
     t = label.triple
     if _splits(geom, t.seq, t.lam):
         sign = int(t.lam)
-        return [_checked(TpqBranch, geom, t.seq, t.m, sign, b) for b in (1, 2)]
-    return [_checked(TpqSingle, geom, t.seq, t.m, t.lam)]
+        return [TpqBranch._trusted(geom, t.seq, t.m, sign, b) for b in (1, 2)]
+    return [TpqSingle._trusted(geom, t.seq, t.m, t.lam)]
 
 
 def tpq_iso(geom: TpqGeometry, a: TpqModuleLabel, b: TpqModuleLabel) -> bool:

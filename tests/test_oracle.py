@@ -9,6 +9,7 @@ report the same ranks.
 """
 
 import random
+import re
 import time
 from fractions import Fraction
 from math import gcd
@@ -324,6 +325,22 @@ def test_verify_grid_skips_oversized_s():
 def test_verify_grid_rejects_s_below_one(s):
     with pytest.raises(ValueError, match=f"s must be at least 1, got {s}"):
         verify_grid(s_values=(1, s), rs_max=2, lo=0, hi=1, m_values=(1,), lambdas=(2,))
+
+
+@pytest.mark.parametrize(
+    "box, message",
+    [
+        ({"rs_max": True}, "rs_max must be an integer, got True"),
+        ({"rs_max": "2"}, "rs_max must be an integer, got '2'"),
+        ({"s_values": ("1",)}, "s must be an integer, got '1'"),
+    ],
+    ids=["rs_max-bool", "rs_max-str", "s-str"],
+)
+def test_verify_grid_rejects_a_count_that_is_not_an_int(box, message):
+    small = {"s_values": (1,), "rs_max": 2, "lo": 0, "hi": 1, "m_values": (1,),
+             "lambdas": (2,)}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        verify_grid(**{**small, **box})
 
 
 @pytest.mark.parametrize(

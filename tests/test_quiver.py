@@ -180,6 +180,20 @@ CRITERION_05_TPQ = [
 ]
 
 
+@pytest.mark.parametrize("pq", [(3, 7), (4, 5), (3, 8), (5, 6)])
+def test_the_special_tube_is_built_once_its_bottom_fits(pq):
+    # Both quivers take the (B, 1) tube exactly when max_base_rank reaches
+    # the rank of M(B, 1, 1), one above the rest of its family.
+    tpq = geometry_of(*pq)
+    b = tpq.cusp.b_sequence
+    bottom = classify_label(BundleTriple(b, 1, 1), tpq.cusp).rank
+    special = f"T({b},1)"
+    for rank in range(1, bottom + 2):
+        for quiver in (cusp_quiver(tpq.cusp, rank, 1, lambdas=(1, 2)),
+                       tpq_quiver(tpq, 1, max_base_rank=rank, lambdas=(1, 2))):
+            assert (special in {t.id for t in quiver.tubes}) is (rank >= bottom)
+
+
 def checked_copy(lab):
     # The label rebuilt through the public, checking constructor.
     if isinstance(lab, CMModuleLabel):

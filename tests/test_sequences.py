@@ -92,6 +92,12 @@ def test_shift_examples():
     assert shift_by(SSeq(2, (1, 2)), 1).entries == (1, 2)
 
 
+@pytest.mark.parametrize("k", [True, 1.5])
+def test_shift_by_takes_only_an_int(k):
+    with pytest.raises(ValueError, match=f"^k must be an integer, got {k}$"):
+        shift_by(SSeq(1, (1, 2)), k)
+
+
 @given(seq=sseqs(), a=st.integers(-10, 10), b=st.integers(-10, 10))
 def test_shift_composes(seq, a, b):
     assert shift_by(seq, 0) == seq

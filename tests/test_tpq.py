@@ -165,6 +165,24 @@ def test_sigma_of_module_examples():
         sigma_of_module(G38, BundleTriple(SSeq(2, (0, 0)), 1, Fraction(1)))
 
 
+@pytest.mark.parametrize(
+    "triple",
+    [
+        BundleTriple(SSeq(1, (1,)), 1, 2),  # another s
+        BundleTriple(SSeq(2, (0, -1)), 1, 2),  # fails Kahn's test
+        BundleTriple(SSeq(1, (-1,)), 1, 2),  # both: the s is named first
+    ],
+    ids=["other-s", "kahn", "both"],
+)
+def test_sigma_of_module_rejects_as_classify_label_does(triple):
+    with pytest.raises(ValueError) as ours:
+        sigma_of_module(G38, triple)
+    with pytest.raises(ValueError) as theirs:
+        classify_label(triple, G38.cusp)
+    assert type(ours.value) is type(theirs.value)
+    assert str(ours.value) == str(theirs.value)
+
+
 @given(data=st.data())
 def test_sigma_of_module_is_an_involution(data):
     seq = data.draw(sequences_for(G38, lo=0, hi=2))
