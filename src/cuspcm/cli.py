@@ -9,10 +9,13 @@ answers to the records that one read of stdin brings go out in one write,
 before the next read.
 
 Every subcommand is one entry of `COMMANDS`; `build_parser` and `_run`
-serve them all.  The flags of a single-shot run become the record a batch
-line would give, so one field parser (`_read`) checks both.  One flag may
-stand in for the fields (`skip_if`): verify's --grid, tpq-quiver's
---max-base-rank, tpq-descend's --free ({"free": true} in a batch record).
+serve them all.  A command's geometry and input fields come from its
+flags: --b gives a cusp, --p and --q a T_pq curve, and whichever of
+--seq, --m and --lambda it has are its fields, in that order.  The flags
+of a single-shot run become the record a batch line would give, so one
+field parser (`_read`) checks both.  One flag may stand in for the fields
+(`skip_if`): verify's --grid, tpq-quiver's --max-base-rank, tpq-descend's
+--free ({"free": true} in a batch record).
 This module imports only `sequences` and `cohomology` up front; a command
 imports the other library modules it uses when `_run` binds it, once per
 `main` call.
@@ -73,9 +76,6 @@ def parse_lambda(text: str) -> Fraction:
 
 def _lambdas(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_lambda(tok) for tok in text.split(","))
-
-
-_TRIPLE = ("seq", "m", "lambda")
 
 
 def _flag_record(args: argparse.Namespace, fields: Sequence[str]) -> dict:
@@ -338,25 +338,6 @@ def _print_table(rows: list[tuple[str, str]]) -> None:
         print(f"{key.ljust(width)}  {value}")
 
 
-# Setup steps: each gives a command's geometry and the s of its sequences.
-
-
-def _plain(args: argparse.Namespace) -> tuple[None, int]:
-    return None, args.s
-
-
-def _cusp(args: argparse.Namespace):
-    geom = CuspGeometry(args.s, parse_seq(args.b))
-    return geom, geom.s
-
-
-def _tpq(args: argparse.Namespace):
-    from .tpq import geometry_of
-
-    geom = geometry_of(args.p, args.q)
-    return geom, geom.cusp.s
-
-
 @_frozen
 class Command:
     """One subcommand: its flags and what each step of `_run` does for it."""
@@ -364,11 +345,9 @@ class Command:
     name: str
     help: str
     flags: tuple[tuple[str, dict], ...]  # (flag, add_argument keywords)
-    setup: Callable[[argparse.Namespace], tuple[Any, int]]  # (geometry, s)
     # (args, geometry) -> the function that answers one input
     run: Callable[[argparse.Namespace, Any], Callable[[Any], Any]]
     rows: Callable[[dict], list[tuple[str, str]]] | None  # None: DOT, not table
-    fields: tuple[str, ...] = ()  # the input, from the flags or a batch line
     skip_if: str | None = None  # a flag (batch: a record key) standing in for fields
 
 
@@ -398,37 +377,36 @@ _GRID = _flag(
 
 COMMANDS = (
     Command(
-        "canon", "canonical rotation and aperiodicity", (_S, _SEQ, _BATCH), _plain,
+        "canon", "canonical rotation and aperiodicity", (_S, _SEQ, _BATCH),
         lambda _a, _g: lambda seq: {
             "canonical": list(canonical_form(seq).entries),
             "aperiodic": is_aperiodic(seq),
         },
-        _joined_rows, ("seq",),
+        _joined_rows,
     ),
     Command(
         "cohom", "closed-form h0/h1 of a bundle triple", (_S, _SEQ, _M, _LAM, _BATCH),
-        _plain, lambda _a, _g: lambda t: _report_dict(cohom_dims(t)), _str_rows,
-        _TRIPLE,
+        lambda _a, _g: lambda t: _report_dict(cohom_dims(t)), _str_rows,
     ),
     Command(
         "verify", "check the formulas against the oracle",
         (_flag("--s", "cycle component count", type=int, default=1),
          _SEQ, _M, _LAM, _GRID),
-        _plain, _verify, _verify_rows, _TRIPLE, skip_if="grid",
+        _verify, _verify_rows, skip_if="grid",
     ),
     Command(
         "classify", "label the CM module of a triple", (_S, _B, _SEQ, _M, _LAM, _BATCH),
-        _cusp, _classify, _str_rows, _TRIPLE,
+        _classify, _str_rows,
     ),
     Command(
         "enumerate", "all indecomposables of one rank",
         (_S, _B, _flag("--rank", "module rank (positive)", type=int, required=True)),
-        _cusp, _enumerate, _enumerate_rows,
+        _enumerate, _enumerate_rows,
     ),
     Command(
         "growth", "family counts per rank",
         (_S, _B, _flag("--r-max", "largest rank to count", type=int, required=True)),
-        _cusp, _growth,
+        _growth,
         lambda r: [("rank", "families")]
         + [(str(c["rank"]), str(c["families"])) for c in r["counts"]],
     ),
@@ -436,10 +414,10 @@ COMMANDS = (
         "quiver", "cusp AR quiver as DOT or JSON",
         (_S, _B, _flag("--max-base-rank", "largest tube base rank", type=int,
                        required=True), _DEPTH, _LAMBDAS),
-        _cusp, _quiver, None,
+        _quiver, None,
     ),
     Command(
-        "tpq-geometry", "cycle weights of the T_pq double cover", (_P, _Q), _tpq,
+        "tpq-geometry", "cycle weights of the T_pq double cover", (_P, _Q),
         lambda _a, g: lambda _i: {
             "p": g.p, "q": g.q, "s": g.cusp.s, "b": list(g.cusp.b), "t": g.t,
             "case": g.case_tag.value,
@@ -448,15 +426,15 @@ COMMANDS = (
     ),
     Command(
         "tpq-sigma", "reflect a sequence by the deck involution",
-        (_P, _Q, _SEQ, _BATCH), _tpq, _tpq_sigma, _joined_rows, ("seq",),
+        (_P, _Q, _SEQ, _BATCH), _tpq_sigma, _joined_rows,
     ),
     Command(
         "tpq-descend", "CM modules over the curve below a label",
         (_P, _Q,
          _flag("--free", "descend the free module", action="store_true", default=None),
          _SEQ, _M, _LAM, _BATCH),
-        _tpq, _tpq_descend, lambda r: [("label", str(d)) for d in r["labels"]],
-        _TRIPLE, skip_if="free",
+        _tpq_descend, lambda r: [("label", str(d)) for d in r["labels"]],
+        skip_if="free",
     ),
     Command(
         "tpq-quiver", "curve-side AR quiver as DOT or JSON",
@@ -465,7 +443,7 @@ COMMANDS = (
          _LAMBDAS,
          _flag("--seq", "single tube base: degree sequence upstairs"),
          _flag("--lambda", "single tube base: scalar upstairs", metavar="LAM")),
-        _tpq, _tpq_quiver, None, ("seq", "lambda"), skip_if="max_base_rank",
+        _tpq_quiver, None, skip_if="max_base_rank",
     ),
 )
 
@@ -545,11 +523,22 @@ def _batch(answer: Callable[[dict], Any]) -> None:
 
 
 def _run(cmd: Command, args: argparse.Namespace) -> int:
-    geom, s = cmd.setup(args)
+    # The flags a command has name its geometry and its input fields.
+    if "b" in args:
+        geom = CuspGeometry(args.s, parse_seq(args.b))
+        s = geom.s
+    elif "p" in args:
+        from .tpq import geometry_of
+
+        geom = geometry_of(args.p, args.q)
+        s = geom.cusp.s
+    else:
+        geom, s = None, args.s
     # Bound here, once per call of main, so that a library function replaced
     # between calls (as a tracer does) is the one that answers.
     answer = cmd.run(args, geom)
-    fields, skip = cmd.fields, cmd.skip_if
+    fields = tuple(name for name in ("seq", "m", "lambda") if name in args)
+    skip = cmd.skip_if
     if getattr(args, "batch", False):
         # A record's own skip_if key stands in for its fields; the flag does not.
         _batch(lambda record: answer(

@@ -40,6 +40,13 @@ def _scalar(lam: Fraction | int | str) -> Fraction:
     return lam
 
 
+def _scalars(lambdas: Sequence[Fraction | int | str]) -> tuple[Fraction, ...]:
+    # A list of scalars; a str is one literal, not a list of its characters.
+    if isinstance(lambdas, str):
+        raise ValueError(f"lambdas must be a sequence of scalars, got {lambdas!r}")
+    return tuple(map(_scalar, lambdas))
+
+
 def _geometry(geom: object, kind: type) -> None:
     # The one geometry rule: a function made for one kind of geometry, cusp
     # or T_pq, is given that kind, and the other kind fails here, not later.

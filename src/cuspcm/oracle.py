@@ -33,7 +33,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import _EXPORTS
-from .cohomology import BundleTriple, CohomReport, _scalar, cohom_dims, delta
+from .cohomology import BundleTriple, CohomReport, _scalars, cohom_dims, delta
 from .sequences import SSeq, _count, _frozen, enumerate_canonical
 
 __all__ = _EXPORTS["oracle"]
@@ -280,15 +280,16 @@ def verify_grid(
 
     Raises:
         ValueError: for an rs_max or s that is not an int, an s below 1,
-            lam = 0, a repeated s, m or lam (compared as Fractions, so 2 and
-            "4/2" repeat), or a box that holds no case.
+            lam = 0, lambdas given as a str, a repeated s, m or lam
+            (compared as Fractions, so 2 and "4/2" repeat), or a box that
+            holds no case.
     """
     _count("rs_max", rs_max, positive=False)
     for s in s_values:
         _count("s", s, positive=False)
     if any(s < 1 for s in s_values):
         raise ValueError(f"s must be at least 1, got {min(s_values)}")
-    lams = tuple(map(_scalar, lambdas))
+    lams = _scalars(lambdas)
     for name, values in (("s", s_values), ("m", m_values), ("lambda", lams)):
         seen: set = set()
         for v in values:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import _EXPORTS
-from .cohomology import BundleTriple, CuspGeometry, _geometry, _scalar
+from .cohomology import BundleTriple, CuspGeometry, _geometry, _scalar, _scalars
 from .cusp import (
     CMModuleLabel,
     LambdaBase,
@@ -192,7 +192,7 @@ def _base_points(
     # Tube bases (seq, lam) whose bottom module has rank <= max_base_rank,
     # in (family rank, sequence length, sequence, lam) order.
     _count("max_base_rank", max_base_rank)
-    lams = sorted(set(map(_scalar, lambdas)))
+    lams = sorted(set(_scalars(lambdas)))
     points: list[tuple[SSeq, Fraction]] = []
     for rank in range(1, max_base_rank + 1):
         for fam in enumerate_rank(geom, rank).families:
@@ -221,7 +221,8 @@ def cusp_quiver(
     result order is deterministic: by family rank, then sequence, then lam.
 
     Raises:
-        ValueError: for a max_base_rank or depth not an int >= 1, or lam = 0.
+        ValueError: for a max_base_rank or depth not an int >= 1, lam = 0, or
+            lambdas given as a str.
     """
     points = _base_points(geom, max_base_rank, lambdas)
     _count("depth", depth)  # also when no base survives and no tube is built
@@ -265,8 +266,8 @@ def tpq_quiver(
     Raises:
         ValueError: for a geometry that is not a TpqGeometry, a depth or
             max_base_rank not an int >= 1, not exactly one of max_base_rank
-            and bases, lam = 0, or a base that classify_label rejects
-            (KahnViolation: no module).
+            and bases, lam = 0, lambdas given as a str, or a base that
+            classify_label rejects (KahnViolation: no module).
     """
     _geometry(geom, TpqGeometry)
     _count("depth", depth)

@@ -9,7 +9,7 @@ import pytest
 
 import cuspcm
 from cuspcm import cusp, tpq
-from cuspcm.cli import main, parse_lambda, parse_seq
+from cuspcm.cli import COMMANDS, main, parse_lambda, parse_seq
 
 
 def run(capsys, *argv):
@@ -388,6 +388,74 @@ def test_missing_lambda_names_the_flag(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 2
     assert json.loads(out)["error"]["message"] == "--lambda is required"
+
+
+TRIPLE = ("seq", "m", "lambda")
+
+# What each command reads: its geometry ("cusp", "tpq" or None), its input
+# fields in the order they are checked, whether it takes --batch, and the
+# other flags a run needs.
+READS = {
+    "canon": (None, ("seq",), True, []),
+    "cohom": (None, TRIPLE, True, []),
+    "verify": (None, TRIPLE, False, []),
+    "classify": ("cusp", TRIPLE, True, []),
+    "enumerate": ("cusp", (), False, ["--rank", "1"]),
+    "growth": ("cusp", (), False, ["--r-max", "1"]),
+    "quiver": ("cusp", (), False, ["--max-base-rank", "1", "--depth", "1"]),
+    "tpq-geometry": ("tpq", (), False, []),
+    "tpq-sigma": ("tpq", ("seq",), True, []),
+    "tpq-descend": ("tpq", TRIPLE, True, []),
+    "tpq-quiver": ("tpq", ("seq", "lambda"), False, ["--depth", "1"]),
+}
+GEOMETRY = {None: ["--s", "1"], "cusp": ["--s", "1", "--b", "1"],
+            "tpq": ["--p", "3", "--q", "8"]}
+BAD_GEOMETRY = {
+    "cusp": (["--s", "1", "--b", "x"],
+             "malformed sequence literal 'x': expected comma-separated integers"),
+    "tpq": (["--p", "2", "--q", "3"], "p must be at least 3, got 2"),
+}
+
+
+@pytest.mark.parametrize("cmd", COMMANDS, ids=lambda cmd: cmd.name)
+def test_each_command_reads_its_geometry_then_its_fields_in_order(
+        capsys, monkeypatch, cmd):
+    assert set(READS) == {c.name for c in COMMANDS}
+    geometry, fields, batch, extra = READS[cmd.name]
+    assert ("--batch" in dict(cmd.flags)) == batch
+    seq = "1,0" if geometry == "tpq" else "1"
+    flags = {"seq": seq, "m": "1", "lambda": "2"}
+
+    def error(*argv):
+        code, out = run(capsys, cmd.name, *argv, "--format", "json")
+        assert code == 2
+        return json.loads(out)["error"]["message"]
+
+    if geometry:
+        bad, message = BAD_GEOMETRY[geometry]
+        assert error(*bad, *extra) == message
+    argv = GEOMETRY[geometry] + extra
+    if not fields:
+        code, out = run(capsys, cmd.name, *argv, "--format", "json")
+        assert code == 0 and "error" not in json.loads(out)
+    for i, name in enumerate(fields):
+        given = [arg for f in fields[:i] for arg in (f"--{f}", flags[f])]
+        if cmd.name == "tpq-quiver" and i == 0:
+            # Its run step first asks for exactly one of its two inputs.
+            assert error(*argv).startswith("give exactly one of")
+            continue
+        assert error(*argv, *given) == f"--{name} is required"
+    if batch:
+        record = {"seq": [int(v) for v in seq.split(",")]}
+        code, out = run_batch(capsys, monkeypatch, [cmd.name, *argv, "--batch"],
+                              ["{}", json.dumps(record)])
+        answers = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and len(answers) == 2
+        assert answers[0]["error"]["message"] == "missing field 'seq'"
+        if "m" in fields:
+            assert answers[1]["error"]["message"] == "missing field 'm'"
+        else:
+            assert "error" not in answers[1]
 
 
 def test_deeply_nested_record_does_not_end_the_stream(capsys, monkeypatch):

@@ -343,6 +343,12 @@ def test_verify_grid_rejects_a_count_that_is_not_an_int(box, message):
         verify_grid(**{**small, **box})
 
 
+def test_verify_grid_rejects_a_string_of_lambdas():
+    # A str would be read one character at a time: "12" as the scalars 1 and 2.
+    with pytest.raises(ValueError, match="^lambdas must be a sequence of scalars"):
+        verify_grid(s_values=(1,), rs_max=1, lo=0, hi=1, m_values=(1,), lambdas="12")
+
+
 @pytest.mark.parametrize(
     "values, repeat",
     [

@@ -121,6 +121,18 @@ def test_cusp_quiver_checks_depth_without_a_tube(depth, lambdas):
         cusp_quiver(CuspGeometry(1, (1,)), 1, depth, lambdas=lambdas)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: cusp_quiver(CuspGeometry(1, (1,)), 1, 1, lambdas="23"),
+     lambda: tpq_quiver(geometry_of(3, 8), 1, max_base_rank=1, lambdas="23")],
+    ids=["cusp", "tpq"],
+)
+def test_quivers_reject_a_string_of_lambdas(build):
+    # A str would be read one character at a time: "23" as the scalars 2 and 3.
+    with pytest.raises(ValueError, match="^lambdas must be a sequence of scalars"):
+        build()
+
+
 def test_cusp_quiver_partitions_nodes():
     quiver = cusp_quiver(B1, max_base_rank=2, depth=3)
     seen = {}
