@@ -194,12 +194,12 @@ def _twist_candidates(geom: CuspGeometry, r: int, slack: int) -> list[tuple[int,
     # The c_ names hold the state with entry i placed.  The first block has
     # nothing to exceed; it fixes p = s when it ends.
     i, p, gt, closed, run, neg, head = 0, 0, True, 0, 0, False, 0
-    first = v = -b[0]
+    v = -b[0]
     while True:
         if v > vmax:
             if not stack:
                 return out
-            i, p, gt, closed, run, neg, head, first, v = stack.pop()
+            i, p, gt, closed, run, neg, head, v = stack.pop()
             continue
         if v < 0:
             # within slack: head <= vmax, and each extension of run was checked
@@ -227,13 +227,13 @@ def _twist_candidates(geom: CuspGeometry, r: int, slack: int) -> list[tuple[int,
                 out.append(tuple(buf))
             v += 1
             continue
-        stack.append((i, p, gt, closed, run, neg, head, first, v + 1))
-        gt = gt or v > first
+        stack.append((i, p, gt, closed, run, neg, head, v + 1))
+        gt = gt or buf[i] > buf[i - p]
         i += 1
         if gt and i % s == 0:
             p, gt = i, False
         closed, run, neg, head = c_closed, c_run, c_neg, c_head
-        first = v = -b[i] if gt else buf[i - p] - b[i]
+        v = -b[i] if gt else buf[i - p] - b[i]
 
 
 def enumerate_rank(geom: CuspGeometry, rank: int) -> RankSlice:

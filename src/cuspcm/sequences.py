@@ -4,9 +4,10 @@ A sequence of multiplicity r assigns one integer to each of the r*s
 positions obtained by walking the cycle r times.  Positions are cyclic
 (position i + r*s is position i), and the only relabelings that preserve
 the underlying geometry are rotations by whole copies of the cycle, i.e.
-by multiples of s.  This module provides that rotation, the aperiodicity
-test, the canonical (lexicographically least) representative, and bounded
-enumeration of canonical representatives.
+by multiples of s.  This module provides that rotation, bounded
+enumeration of canonical (lexicographically least) representatives, and
+one scan, linear in the length, behind is_aperiodic, canonical_form and
+the sigma-symmetry test of T_pq.
 """
 
 from __future__ import annotations
@@ -121,14 +122,32 @@ def shift_by(seq: SSeq, k: int) -> SSeq:
     return SSeq(seq.s, seq.entries[cut:] + seq.entries[:cut])
 
 
+def _least_rotation(entries: tuple, s: int) -> tuple[tuple, bool]:
+    # The least rotation of entries by a multiple of s (entries itself if it
+    # is least) and whether entries is periodic, by the linear two-pointer scan
+    # over s-blocks (Booth 1980).  Every block start below j but i is beaten by
+    # some rotation.  After k equal entries and a mismatch, the larger side and
+    # its next k // s starts are beaten; k >= n means i and j agree: a period.
+    n = len(entries)
+    twice = entries + entries
+    i, j, k = 0, s, 0
+    while j < n and k < n:
+        a, b = twice[i + k], twice[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i = max(j, i + (k // s + 1) * s)
+            j = i + s
+        else:
+            j += (k // s + 1) * s
+        k = 0
+    return entries if i == 0 else twice[i:i + n], k >= n
+
+
 def is_aperiodic(seq: SSeq) -> bool:
     """True unless the sequence is a repetition of a strictly shorter s-sequence."""
-    e = seq.entries
-    n = len(e)
-    for cut in range(seq.s, n, seq.s):
-        if n % cut == 0 and e == e[:cut] * (n // cut):
-            return False
-    return True
+    return not _least_rotation(seq.entries, seq.s)[1]
 
 
 def canonical_form(seq: SSeq) -> SSeq:
@@ -136,17 +155,8 @@ def canonical_form(seq: SSeq) -> SSeq:
 
     A sequence that is already least is returned as it is, not copied.
     """
-    e = seq.entries
-    n, s = len(e), seq.s
-    if n == s:
-        return seq
-    twice = e + e
-    best = e
-    for cut in range(s, n, s):
-        rot = twice[cut:cut + n]
-        if rot < best:
-            best = rot
-    return seq if best is e else SSeq._trusted(s, best)
+    least = _least_rotation(seq.entries, seq.s)[0]
+    return seq if least is seq.entries else SSeq._trusted(seq.s, least)
 
 
 def enumerate_canonical(s: int, max_r: int, lo: int, hi: int) -> list[SSeq]:

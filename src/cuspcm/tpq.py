@@ -19,7 +19,7 @@ from typing import ClassVar
 from . import _EXPORTS
 from .cohomology import BundleTriple, CuspGeometry, _exists, _geometry, _same_s
 from .cusp import CMModuleLabel, _canonical_triple
-from .sequences import SSeq, _count, _frozen, canonical_form
+from .sequences import SSeq, _count, _frozen, _least_rotation, canonical_form
 
 __all__ = _EXPORTS["tpq"]
 
@@ -108,9 +108,8 @@ def apply_sigma(geom: TpqGeometry, seq: SSeq) -> SSeq:
 
 def is_sigma_symmetric(geom: TpqGeometry, seq: SSeq) -> bool:
     """True when the reflected sequence is a rotation of the original."""
-    reflected = apply_sigma(geom, seq).entries
-    e = seq.entries
-    return any(reflected == e[cut:] + e[:cut] for cut in range(0, len(e), seq.s))
+    least = _least_rotation(seq.entries, seq.s)[0]
+    return _least_rotation(apply_sigma(geom, seq).entries, seq.s)[0] == least
 
 
 def _splits(geom: TpqGeometry, seq: SSeq, lam: Fraction) -> bool:

@@ -10,6 +10,7 @@ import pytest
 import cuspcm
 from cuspcm import cusp, tpq
 from cuspcm.cli import COMMANDS, main, parse_lambda, parse_seq
+from test_oracle import plant_wrong_closed_form
 
 
 def run(capsys, *argv):
@@ -91,6 +92,27 @@ def test_verify_grid_bad_box_is_invalid_input(capsys, setting):
     assert code == 2
     assert error["kind"] == "invalid_input"
     assert error["message"].startswith(BAD_GRIDS[setting])
+
+
+def test_verify_grid_failures_exit_2_and_stay_out_of_the_table(capsys, monkeypatch):
+    # A closed form planted one too high everywhere: every case fails all
+    # three checks, and the JSON lists the first 20 failures only.
+    plant_wrong_closed_form(monkeypatch, lambda triple: True)
+    code, out = run(capsys, "verify", "--grid", "rs_max=2")
+    result = json.loads(out)
+    assert code == 2
+    assert result["ok"] is False
+    cases = result["cases"]
+    assert cases > 20
+    for kind in ("formula_mismatches", "euler_failures", "rank_identity_failures"):
+        assert result[kind] == cases
+    assert len(result["failures"]) == 20
+    assert result["failures"][0] == "s=1 d=[-2] m=1 lam=1: formula (1,2) vs oracle (0,2)"
+    code, out = run(capsys, "verify", "--grid", "rs_max=2", "--format", "table")
+    assert code == 2
+    assert [line.split()[0] for line in out.splitlines()] == [
+        "cases", "formula_mismatches", "euler_failures", "rank_identity_failures", "ok"]
+    assert out.splitlines()[-1].split() == ["ok", "False"]
 
 
 def test_verify_single_triple(capsys):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from cuspcm import (
     BundleTriple,
+    CohomReport,
     OracleSpace,
     SSeq,
     build_presentation,
@@ -311,6 +312,41 @@ def test_verify_grid_small_box():
     # Canonical aperiodic sequences: 5 + 10 + 40 for s=1 at lengths 1,2,3
     # and 25 for s=2 at length 2; times 4 (m, lam) pairs.
     assert report.cases == (5 + 10 + 40 + 25) * 4
+
+
+def plant_wrong_closed_form(monkeypatch, wrong):
+    """Make oracle.cohom_dims report theta and h^0 one too high wherever
+    wrong(triple) holds."""
+    real = oracle.cohom_dims
+
+    def planted(triple):
+        f = real(triple)
+        if wrong(triple):
+            return CohomReport(theta=f.theta + 1, delta=f.delta, h0=f.h0 + 1, h1=f.h1)
+        return f
+
+    monkeypatch.setattr(oracle, "cohom_dims", planted)
+
+
+def test_verify_grid_reports_every_check_a_wrong_closed_form_fails(monkeypatch):
+    plant_wrong_closed_form(
+        monkeypatch, lambda t: (t.seq.entries, t.m, t.lam) == ((1,), 1, 2)
+    )
+    report = verify_grid(s_values=(1,), rs_max=1, lo=0, hi=1, m_values=(1,), lambdas=(2,))
+    assert report.cases == 2
+    assert report.formula_mismatches == ("s=1 d=[1] m=1 lam=2: formula (2,0) vs oracle (1,0)",)
+    assert report.euler_failures == ("s=1 d=[1] m=1 lam=2",)
+    assert report.rank_identity_failures == ("s=1 d=[1] m=1 lam=2: rk=1",)
+    assert report.ok is False
+
+
+def test_oracle_dims_rejects_a_rank_that_is_not_m_theta_minus_delta(monkeypatch):
+    real = oracle.rank_of_h
+    monkeypatch.setattr(oracle, "rank_of_h", lambda t: real(t) + 1)
+    with pytest.raises(ArithmeticError, match=r"^measured rank 5 of .* is not of the form"):
+        oracle_dims(triple(1, (1, 0), m=2))
+    # at m = 1 every rank is of that form: theta reads 3, one above the true 2
+    assert oracle_dims(triple(1, (1, 0))).theta == 3
 
 
 def test_verify_grid_skips_oversized_s():

@@ -6,13 +6,22 @@ rotations of a sequence and take set minima / dedup directly.
 
 import gc
 import random
+import time
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspcm import SSeq, canonical_form, enumerate_canonical, is_aperiodic, shift_by
+from cuspcm import (
+    SSeq,
+    canonical_form,
+    enumerate_canonical,
+    geometry_of,
+    is_aperiodic,
+    is_sigma_symmetric,
+    shift_by,
+)
 
 
 def rotations(s, entries):
@@ -173,6 +182,53 @@ def test_canonical_matches_the_reference(seed):
         assert got == want, seq
         assert (got is seq) == (want is seq), seq
         assert type(got.entries) is tuple
+
+
+def longer_word(rng, s, kind):
+    """Entries of up to 16 blocks of s: kind 0 is random, kind 1 a periodic
+    word w^k, kind 2 a periodic word with one block changed."""
+    if kind == 0:
+        return tuple(rng.randint(-1, 1) for _ in range(s * rng.randint(1, 16)))
+    q = rng.randint(1, 8)
+    word = [rng.randint(-1, 1) for _ in range(s * q)] * rng.randint(2, 16 // q)
+    if kind == 2:
+        word[rng.randrange(len(word))] += rng.choice((-1, 1))
+    return tuple(word)
+
+
+@pytest.mark.parametrize("seed", [5, 23])
+def test_rotation_answers_match_the_references_on_longer_words(seed):
+    rng = random.Random(seed)
+    seen = set()
+    for k in range(900):
+        s = rng.randint(1, 4)
+        seq = SSeq(s, longer_word(rng, s, k % 3))
+        want = reference_canonical_form(seq)
+        got = canonical_form(seq)
+        assert got == want, seq
+        assert (got is seq) == (want is seq), seq
+        aperiodic = brute_aperiodic(seq.s, seq.entries)
+        assert is_aperiodic(seq) == aperiodic, seq
+        seen.add((aperiodic, got is seq))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_rotation_answers_are_linear_on_long_sequences():
+    # 200,000 entries: trying every rotation would take minutes.
+    lone = SSeq(1, (1,) + (0,) * 199999)
+    bump = SSeq(2, (1, 0) * 99999 + (2, 0))
+    periodic = SSeq(2, (0, 1) * 100000)
+    start = time.perf_counter()
+    assert is_aperiodic(lone)
+    assert canonical_form(lone).entries == (0,) * 199999 + (1,)
+    assert is_sigma_symmetric(geometry_of(3, 7), lone)
+    assert is_aperiodic(bump)
+    assert canonical_form(bump) is bump
+    assert is_sigma_symmetric(geometry_of(3, 8), bump)
+    assert not is_aperiodic(periodic)
+    assert canonical_form(periodic) is periodic
+    assert is_sigma_symmetric(geometry_of(3, 8), periodic)
+    assert time.perf_counter() - start < 5
 
 
 # -------------------------------------------------- enumerate_canonical

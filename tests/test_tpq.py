@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cuspcm import cusp, tpq
+from test_sequences import longer_word
 from cuspcm import (
     BundleTriple,
     CMModuleLabel,
@@ -131,6 +132,26 @@ def test_sigma_symmetry_matches_the_shift_by_definition():
         for _ in range(300):
             r = rng.randint(1, max(1, 8 // s))
             seq = SSeq(s, tuple(rng.randint(0, 1) for _ in range(r * s)))
+            want = reference_is_sigma_symmetric(geom, seq)
+            assert is_sigma_symmetric(geom, seq) == want, (p, q, seq)
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_sigma_symmetry_matches_the_reference_on_longer_words():
+    # Random, periodic and nearly periodic words of up to 16 blocks; every
+    # other one is followed by its own reflection, which often makes the
+    # whole word sigma-symmetric.
+    rng = random.Random(20023)
+    seen = set()
+    for p, q in CASES:
+        geom = geometry_of(p, q)
+        s = geom.cusp.s
+        for k in range(120):
+            entries = longer_word(rng, s, k % 3)
+            if k % 2:
+                entries += apply_sigma(geom, SSeq(s, entries)).entries
+            seq = SSeq(s, entries)
             want = reference_is_sigma_symmetric(geom, seq)
             assert is_sigma_symmetric(geom, seq) == want, (p, q, seq)
             seen.add(want)
