@@ -21,7 +21,7 @@ from operator import attrgetter
 
 from . import _EXPORTS
 from .cohomology import BundleTriple, CuspGeometry, _exists, _geometry, module_rank
-from .sequences import SSeq, _count, _frozen, canonical_form, is_aperiodic
+from .sequences import SSeq, _count, _frozen, _least_form, canonical_form, is_aperiodic
 
 __all__ = _EXPORTS["cusp"]
 
@@ -132,9 +132,10 @@ def _canonical_triple(triple: BundleTriple, geom: CuspGeometry) -> BundleTriple:
 
 def _canonical(triple: BundleTriple) -> BundleTriple:
     # The canonical rotation of an aperiodic triple, with the same m and lam.
-    if not is_aperiodic(triple.seq):
+    canon, periodic = _least_form(triple.seq)
+    if periodic:
         raise ValueError(f"periodic sequence {triple.seq} does not label a module")
-    return BundleTriple._trusted(canonical_form(triple.seq), triple.m, triple.lam)
+    return BundleTriple._trusted(canon, triple.m, triple.lam)
 
 
 def _special(geom: CuspGeometry, seq: SSeq, lam: Fraction) -> bool:

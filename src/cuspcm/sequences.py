@@ -159,6 +159,14 @@ def canonical_form(seq: SSeq) -> SSeq:
     return seq if least is seq.entries else SSeq._trusted(seq.s, least)
 
 
+def _least_form(seq: SSeq) -> tuple[SSeq, bool]:
+    # canonical_form(seq) and whether seq is periodic, from one scan.  The
+    # rule is written out in canonical_form as well, which runs once per
+    # enumeration candidate and so pays for a call through here.
+    least, periodic = _least_rotation(seq.entries, seq.s)
+    return (seq if least is seq.entries else SSeq._trusted(seq.s, least)), periodic
+
+
 def enumerate_canonical(s: int, max_r: int, lo: int, hi: int) -> list[SSeq]:
     """All aperiodic canonical sequences with r <= max_r and entries in [lo, hi].
 

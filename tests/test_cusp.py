@@ -13,7 +13,7 @@ from itertools import product
 
 import pytest
 
-from cuspcm import cohomology, cusp
+from cuspcm import cohomology, cusp, sequences
 from cuspcm import (
     BundleTriple,
     CMModuleLabel,
@@ -167,6 +167,28 @@ def test_classify_label_checks_each_rule_once(monkeypatch):
                          CuspGeometry(2, (1, 0)))
     assert (str(lab), lab.rank) == ("M([1,3,2,0],1,-2)", 6)
     assert calls == ["_same_s", "kahn_condition"]
+
+
+def test_classify_label_scans_the_rotations_once(monkeypatch):
+    # One rotation scan answers both the aperiodicity check and the
+    # canonical form; a sequence that is already least is kept, not copied.
+    real = sequences._least_rotation
+    scans = []
+
+    def counted(entries, s):
+        scans.append(entries)
+        return real(entries, s)
+
+    monkeypatch.setattr(sequences, "_least_rotation", counted)
+    least = SSeq(1, (0, 2))
+    assert classify_label(BundleTriple(least, 1, Fraction(3)), B1).triple.seq is least
+    assert classify_label(BundleTriple(SSeq(1, (2, 0)), 1, Fraction(3)), B1).triple.seq == least
+    assert scans == [(0, 2), (2, 0)]
+    # The periodic check comes first: [1,0,1,0] would also fail the
+    # component count of B1.
+    with pytest.raises(ValueError, match=r"^periodic sequence \[1,0,1,0\] does not label"):
+        classify_label(BundleTriple(SSeq(2, (1, 0, 1, 0)), 1, Fraction(2)), B1)
+    assert len(scans) == 3
 
 
 def test_classify_label_canonicalizes():

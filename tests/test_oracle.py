@@ -158,6 +158,46 @@ def test_presentation_generator_counts(seq, m):
     assert len(space.imf_basis) == expected
 
 
+def sign(v):
+    return (v > 0) - (v < 0)
+
+
+@st.composite
+def same_sign_twins(draw):
+    """Two sequences on one cycle whose entries agree in sign, position by
+    position, and mostly differ in size."""
+    seq = draw(sseqs(max_s=2, max_r=3, lo=-4, hi=4))
+    twin = tuple(
+        draw(st.integers(1, 6)) if v > 0 else draw(st.integers(-6, -1)) if v < 0 else 0
+        for v in seq.entries
+    )
+    return seq, SSeq(seq.s, twin)
+
+
+def presentation_shape(space, rs, m):
+    """The sign of each d_i, read back off the im f generators build_presentation
+    wrote for position i: 2m for d_i > 0, m for d_i = 0, none for d_i < 0."""
+    per_position = [0] * rs
+    for vec in space.imf_basis:
+        positions = {c // (2 * m) for c in vec}
+        assert len(positions) == 1, vec
+        per_position[positions.pop()] += 1
+    return tuple({2 * m: 1, m: 0, 0: -1}[n] for n in per_position)
+
+
+@settings(max_examples=80, deadline=None)
+@given(twins=same_sign_twins(), m=st.integers(1, 3),
+       lam=st.sampled_from([1, -1, 2, "1/2", "-3/5"]))
+def test_presentation_reads_only_the_sign_shape(twins, m, lam):
+    seq, twin = twins
+    space = build_presentation(BundleTriple(seq, m, Fraction(lam)))
+    assert build_presentation(BundleTriple(twin, m, Fraction(lam))) == space
+    shape = oracle._sign_shape(seq.entries)
+    assert shape == oracle._sign_shape(twin.entries)
+    assert shape == tuple(sign(v) for v in seq.entries)
+    assert shape == presentation_shape(space, len(seq.entries), m)
+
+
 # ----------------------------------------------------------- rank of h
 
 
@@ -347,6 +387,72 @@ def test_oracle_dims_rejects_a_rank_that_is_not_m_theta_minus_delta(monkeypatch)
         oracle_dims(triple(1, (1, 0), m=2))
     # at m = 1 every rank is of that form: theta reads 3, one above the true 2
     assert oracle_dims(triple(1, (1, 0))).theta == 3
+
+
+def rank_key(t):
+    return oracle._sign_shape(t.seq.entries), t.m, t.lam
+
+
+def record_ranks(monkeypatch):
+    """Wrap oracle.rank_of_h; returns the (key, rank) of each call, in order."""
+    real = oracle.rank_of_h
+    calls = []
+
+    def recorded(t):
+        rk = real(t)
+        calls.append((rank_key(t), rk))
+        return rk
+
+    monkeypatch.setattr(oracle, "rank_of_h", recorded)
+    return calls
+
+
+def test_verify_grid_uses_the_per_case_rank_on_the_box(monkeypatch):
+    # Each rank verify_grid reads back is the one rank_of_h measures for the
+    # case itself: the one elimination per key, checked case by case.
+    calls = record_ranks(monkeypatch)
+    report = verify_grid(rs_max=4)
+    monkeypatch.undo()
+    used = dict(calls)
+    assert len(used) == len(calls)
+    assert report.ok and report.cases == 34_440
+    cases = 0
+    for t in box_triples(rs_max=4):
+        assert rank_of_h(t) == used[rank_key(t)], t
+        cases += 1
+    assert cases == report.cases
+
+
+SMALL_BOX = {"s_values": (1, 2), "rs_max": 3, "lo": -2, "hi": 2,
+             "m_values": (1, 2), "lambdas": (1, 2)}
+
+
+def small_box_triples():
+    """Every case of SMALL_BOX with its verify_grid tag, in sweep order."""
+    for s in SMALL_BOX["s_values"]:
+        for seq in enumerate_canonical(s, SMALL_BOX["rs_max"] // s, -2, 2):
+            for m in SMALL_BOX["m_values"]:
+                for lam in SMALL_BOX["lambdas"]:
+                    yield f"s={s} d={seq} m={m} lam={lam}", BundleTriple(seq, m, lam)
+
+
+def test_verify_grid_eliminates_each_key_once(monkeypatch):
+    calls = record_ranks(monkeypatch)
+    report = verify_grid(**SMALL_BOX)
+    keys = [key for key, _ in calls]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == {rank_key(t) for _, t in small_box_triples()}
+    assert len(keys) < report.cases == 320
+
+
+def test_verify_grid_reads_a_wrong_rank_into_every_case(monkeypatch):
+    expected = [f"{tag}: rk={rank_of_h(t) + 1}" for tag, t in small_box_triples()]
+    real = oracle.rank_of_h
+    monkeypatch.setattr(oracle, "rank_of_h", lambda t: real(t) + 1)
+    report = verify_grid(**SMALL_BOX)
+    assert list(report.rank_identity_failures) == expected
+    assert len(report.formula_mismatches) == report.cases == len(expected)
+    assert report.euler_failures == ()  # rk h cancels out of h^0 - h^1
 
 
 def test_verify_grid_skips_oversized_s():
