@@ -134,36 +134,32 @@ def theta(seq: SSeq) -> int:
     """Sum over the positive parts, the maximal cyclic runs of non-negative
     entries: a full-cycle or all-zero run counts its length, every other
     run counts length + 1."""
-    return _theta(seq.entries)
+    return _dims(seq.entries, 1, 1)[0]
 
 
-def _theta(e: Sequence[int]) -> int:
-    # theta of the degrees e: the non-negative entries, plus one for each
-    # run short of the whole cycle that holds a positive entry.  Walking
-    # from just after a negative entry ends every run inside the walk.
-    n = len(e)
-    cut = next((i for i, v in enumerate(e) if v < 0), None)
-    if cut is None:
-        return n
-    total = 0
-    positive = False
-    for v in e[cut + 1:] + e[:cut + 1]:
+def _dims(e: Sequence[int], m: int, lam: Fraction | int) -> tuple[int, int, int, int]:
+    # theta, delta, h0 and h1 of (e, m, lam) in one walk over e: the closed
+    # form of cohom_dims.  theta counts the non-negative entries, plus one
+    # per run of them short of the whole cycle that holds a positive entry.
+    # The run before the first negative entry joins the run open at the end.
+    th = pos = neg = 0
+    head = None  # whether the run before the first negative entry is positive
+    up = False  # whether the open run holds a positive entry
+    for v in e:
         if v < 0:
-            total += positive
-            positive = False
+            neg -= v + 1
+            if head is None:
+                head = up
+            else:
+                th += up
+            up = False
         else:
-            total += 1
-            positive = positive or v > 0
-    return total
-
-
-def _dims(e: Sequence[int], m: int, lam: Fraction) -> tuple[int, int, int, int]:
-    # theta, delta, h0 and h1 of the bundle with degrees e, multiplicity m
-    # and scalar lam: the closed form of cohom_dims.
-    th = _theta(e)
-    de = 1 if lam == 1 and not any(e) else 0
-    pos = sum(v + 1 for v in e if v >= 0)
-    neg = sum(-1 - v for v in e if v < -1)
+            th += 1
+            pos += v + 1
+            up = up or v > 0
+    if head is not None:
+        th += head or up
+    de = 1 if head is None and not up and lam == 1 else 0
     return th, de, m * (pos - th) + de, m * (neg + len(e) - th) + de
 
 

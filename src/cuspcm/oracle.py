@@ -300,12 +300,15 @@ def verify_grid(
     an approximation: `build_presentation` branches on the sign shape
     alone, so those cases have the same presentation and the same rank.
     Each case still runs its own closed form and its own three checks.
+    Every m and lam is checked once, before any case runs, so each case's
+    triple is built unchecked; a rank is keyed by lam's position in the
+    checked list, which names one scalar because no lam repeats.
 
     Raises:
-        ValueError: for an rs_max or s that is not an int, an s below 1,
-            lam = 0, lambdas given as a str, a repeated s, m or lam
-            (compared as Fractions, so 2 and "4/2" repeat), or a box that
-            holds no case.
+        ValueError: for an rs_max, s or m that is not an int, an s or m
+            below 1, lam = 0, lambdas given as a str, a repeated s, m or
+            lam (compared as Fractions, so 2 and "4/2" repeat), or a box
+            that holds no case.
     """
     _count("rs_max", rs_max, positive=False)
     for s in s_values:
@@ -313,6 +316,8 @@ def verify_grid(
     if any(s < 1 for s in s_values):
         raise ValueError(f"s must be at least 1, got {min(s_values)}")
     lams = _scalars(lambdas)
+    for m in m_values:
+        _count("multiplicity", m)
     for name, values in (("s", s_values), ("m", m_values), ("lambda", lams)):
         seen: set = set()
         for v in values:
@@ -323,7 +328,7 @@ def verify_grid(
     mismatches: list[str] = []
     euler: list[str] = []
     rank_id: list[str] = []
-    ranks: dict[tuple, int] = {}  # (sign shape, m, lam) -> rk h, for this call
+    ranks: dict[tuple, int] = {}  # (sign shape, m, lam's index) -> rk h, for this call
     for s in s_values:
         if s > rs_max:
             continue
@@ -332,11 +337,12 @@ def verify_grid(
             shape = _sign_shape(seq.entries)
             measured = _measured_dims(seq.entries)
             for m in m_values:
-                for lam in lams:
-                    triple = BundleTriple(seq, m, lam)
+                md = m * dsum
+                for at, lam in enumerate(lams):
+                    triple = BundleTriple._trusted(seq, m, lam)
                     cases += 1
                     formula = cohom_dims(triple)
-                    key = (shape, m, lam)
+                    key = (shape, m, at)
                     rk = ranks.get(key)
                     if rk is None:
                         rk = ranks[key] = rank_of_h(triple)
@@ -346,10 +352,7 @@ def verify_grid(
                             f"{_case_tag(s, seq, m, lam)}: formula "
                             f"({formula.h0},{formula.h1}) vs oracle ({oracle_h0},{oracle_h1})"
                         )
-                    if (
-                        formula.h0 - formula.h1 != m * dsum
-                        or oracle_h0 - oracle_h1 != m * dsum
-                    ):
+                    if not formula.h0 - formula.h1 == oracle_h0 - oracle_h1 == md:
                         euler.append(_case_tag(s, seq, m, lam))
                     if rk != m * formula.theta - formula.delta:
                         rank_id.append(f"{_case_tag(s, seq, m, lam)}: rk={rk}")

@@ -5,6 +5,7 @@ run-counting definitions and cross-checked against the linear-algebra
 oracle (see test_oracle / test_acceptance for the systematic sweeps).
 """
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -266,6 +267,64 @@ def test_theta_bounded_by_length(seq):
 
 
 # ----------------------------------------------------------- dimensions
+
+
+def reference_dims(e, m, lam):
+    """theta, delta, h0 and h1 of (e, m, lam): the closed form in several
+    passes over e, the reference for the package's single walk.  theta is
+    walked from just after a negative entry, so every run ends inside the
+    walk."""
+    th = len(e)
+    cut = next((i for i, v in enumerate(e) if v < 0), None)
+    if cut is not None:
+        th = 0
+        positive = False
+        for v in e[cut + 1:] + e[:cut + 1]:
+            if v < 0:
+                th += positive
+                positive = False
+            else:
+                th += 1
+                positive = positive or v > 0
+    de = 1 if lam == 1 and not any(e) else 0
+    pos = sum(v + 1 for v in e if v >= 0)
+    neg = sum(-1 - v for v in e if v < -1)
+    return th, de, m * (pos - th) + de, m * (neg + len(e) - th) + de
+
+
+def check_against_reference(seq, m, lam):
+    e = seq.entries
+    t = BundleTriple(seq, m, lam)
+    r = cohom_dims(t)
+    assert (r.theta, r.delta, r.h0, r.h1) == reference_dims(e, m, lam), t
+    assert theta(seq) == r.theta
+    geom = CuspGeometry(seq.s, (1,) * seq.s)
+    if kahn_condition(t):
+        assert n_global(t, geom) == reference_dims(twist_by_cycle(seq, geom).entries, m, lam)[2]
+
+
+def test_the_single_walk_matches_the_reference_on_every_short_sequence():
+    # Every sequence with entries -4..3 up to length 5; the closed form does
+    # not read s.  The non-negative ones go through n_global too.
+    checked = 0
+    for n in range(1, 6):
+        for e in itertools.product(range(-4, 4), repeat=n):
+            seq = SSeq(1, e)
+            for m in (1, 2, 3):
+                for lam in (Fraction(1), Fraction(2)):
+                    check_against_reference(seq, m, lam)
+                    checked += 1
+    assert checked == 6 * sum(8**n for n in range(1, 6))
+
+
+@settings(max_examples=300)
+@given(
+    seq=sseqs(max_s=3, max_r=12, lo=-4, hi=3) | sseqs(max_s=3, max_r=12, lo=0, hi=3),
+    m=st.integers(1, 4),
+    lam=st.sampled_from([Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2)]),
+)
+def test_the_single_walk_matches_the_reference_on_longer_sequences(seq, m, lam):
+    check_against_reference(seq, m, lam)
 
 
 def test_cohom_dims_examples():

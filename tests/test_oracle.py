@@ -513,3 +513,42 @@ def test_verify_grid_rejects_an_empty_box(box):
     small = {"rs_max": 4, "lo": 0, "hi": 1, "m_values": (1,), "lambdas": (2,)}
     with pytest.raises(ValueError, match="holds no cases"):
         verify_grid(**{**small, **box})
+
+
+def triple_message(m):
+    """The message BundleTriple gives for the multiplicity m."""
+    with pytest.raises(ValueError) as caught:
+        BundleTriple(SSeq(1, (1,)), m, 2)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("bad", [0, True, 1.5, "1"])
+def test_verify_grid_checks_every_m_before_any_case(monkeypatch, bad):
+    message = triple_message(bad)
+    assert message.startswith("multiplicity must be ")
+    ran = []
+    monkeypatch.setattr(oracle, "cohom_dims", ran.append)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        verify_grid(s_values=(1,), rs_max=2, lo=0, hi=1, m_values=(1, 2, bad), lambdas=(2,))
+    assert ran == []
+
+
+def test_verify_grid_checks_m_in_a_box_that_holds_no_case():
+    # The m check comes first: an empty box with a bad m fails on the m.
+    with pytest.raises(ValueError, match=f"^{re.escape(triple_message(0))}$"):
+        verify_grid(s_values=(9,), rs_max=4, lo=0, hi=1, m_values=(0,), lambdas=(2,))
+
+
+def test_verify_grid_tags_a_failure_with_lam_itself(monkeypatch):
+    # Ranks are keyed by lam's position; the tags still print lam.
+    plant_wrong_closed_form(
+        monkeypatch, lambda t: (t.seq.entries, t.lam) == ((1,), Fraction(1, 2))
+    )
+    report = verify_grid(s_values=(1,), rs_max=1, lo=0, hi=1, m_values=(1,),
+                         lambdas=(2, "1/2"))
+    assert report.cases == 4
+    assert report.formula_mismatches == (
+        "s=1 d=[1] m=1 lam=1/2: formula (2,0) vs oracle (1,0)",
+    )
+    assert report.euler_failures == ("s=1 d=[1] m=1 lam=1/2",)
+    assert report.rank_identity_failures == ("s=1 d=[1] m=1 lam=1/2: rk=1",)
