@@ -20,7 +20,8 @@ This module imports only `sequences` and `cohomology` up front; a command
 imports the other library modules it uses when `_run` binds it, once per
 `main` call.
 
-Exit codes: 0 on success, 2 on a validation or usage error.
+Exit codes: 0 on success; 2 on a validation or usage error, or when verify
+finds a failed check ("ok" false for --grid, "agree" false for one triple).
 """
 
 from __future__ import annotations

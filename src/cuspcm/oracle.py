@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import _EXPORTS
 from .cohomology import BundleTriple, CohomReport, _scalars, cohom_dims, delta
-from .sequences import SSeq, _count, _frozen, enumerate_canonical
+from .sequences import _count, _frozen, enumerate_canonical
 
 __all__ = _EXPORTS["oracle"]
 
@@ -216,28 +216,31 @@ def _measured_dims(d: Sequence[int]) -> Callable[[int, int], tuple[int, int]]:
     return lambda m, rk: (m * pos - rk, m * rest - rk)
 
 
-def oracle_dims(triple: BundleTriple) -> CohomReport:
-    """h^0 and h^1 measured from the presentation alone.
-
-    delta comes straight from its definition; theta is recovered from the
-    measured rank via rk h = m*theta - delta, so a formula/oracle comparison
-    of reports checks that identity as well.
-    """
-    m = triple.m
-    rk = rank_of_h(triple)
+def _measured_report(triple: BundleTriple, rk: int) -> tuple[CohomReport, int]:
+    # The oracle's report from rk h: delta from its definition, theta and rem
+    # from rk h + delta = m*theta + rem.  rem is 0 iff rk h = m*theta - delta.
     de = delta(triple.seq, triple.lam)
-    th, rem = divmod(rk + de, m)
+    th, rem = divmod(rk + de, triple.m)
+    h0, h1 = _measured_dims(triple.seq.entries)(triple.m, rk)
+    return CohomReport(theta=th, delta=de, h0=h0, h1=h1), rem
+
+
+def oracle_dims(triple: BundleTriple) -> CohomReport:
+    """h^0 and h^1 measured from the presentation alone.  delta comes from
+    its definition and theta from the measured rank via rk h = m*theta - delta;
+    a rank of no such form raises ArithmeticError."""
+    rk = rank_of_h(triple)
+    report, rem = _measured_report(triple, rk)
     if rem:
         raise ArithmeticError(
             f"measured rank {rk} of {triple} is not of the form m*theta - delta"
         )
-    h0, h1 = _measured_dims(triple.seq.entries)(m, rk)
-    return CohomReport(theta=th, delta=de, h0=h0, h1=h1)
+    return report
 
 
 @_frozen
 class VerifyReport:
-    """Formula and oracle reports side by side for one triple."""
+    """Formula and oracle reports side by side for one triple; agree: no check failed."""
 
     formula: CohomReport
     oracle: CohomReport
@@ -245,11 +248,13 @@ class VerifyReport:
 
 
 def verify_formula(triple: BundleTriple) -> VerifyReport:
-    """Compare the closed form against the measurement; agree means both
-    h^0 and h^1 match exactly."""
-    f = cohom_dims(triple)
-    o = oracle_dims(triple)
-    return VerifyReport(formula=f, oracle=o, agree=f.h0 == o.h0 and f.h1 == o.h1)
+    """The one-case run of `verify_grid`.  A rank that fails the rank identity
+    gives agree = False and the oracle theta (rk h + delta) // m, not an error."""
+    f, rk = cohom_dims(triple), rank_of_h(triple)
+    o = _measured_report(triple, rk)[0]
+    failures: tuple[list[str], ...] = ([], [], [])
+    _check(triple, f, rk, (o.h0, o.h1), triple.m * sum(triple.seq.entries), failures)
+    return VerifyReport(formula=f, oracle=o, agree=not any(failures))
 
 
 @_frozen
@@ -267,16 +272,27 @@ class GridReport:
 
     @property
     def ok(self) -> bool:
-        return not (
-            self.formula_mismatches
-            or self.euler_failures
-            or self.rank_identity_failures
-        )
+        return not (self.formula_mismatches or self.euler_failures
+                    or self.rank_identity_failures)
 
 
-def _case_tag(s: int, seq: SSeq, m: int, lam: Fraction) -> str:
+def _case_tag(triple: BundleTriple) -> str:
     # Built only for a failing case: formatting costs about 3% of a check.
-    return f"s={s} d={seq} m={m} lam={lam}"
+    return f"s={triple.seq.s} d={triple.seq} m={triple.m} lam={triple.lam}"
+
+
+def _check(triple: BundleTriple, f: CohomReport, rk: int, dims: tuple[int, int],
+           md: int, failures: tuple[list[str], ...]) -> None:
+    # The three checks of one case, given its closed form f, rk h, the measured
+    # dims (h^0, h^1) and m*sum(d); a failure goes to its list, in GridReport order.
+    h0, h1 = dims
+    if f.h0 != h0 or f.h1 != h1:
+        failures[0].append(
+            f"{_case_tag(triple)}: formula ({f.h0},{f.h1}) vs oracle ({h0},{h1})")
+    if not f.h0 - f.h1 == h0 - h1 == md:
+        failures[1].append(_case_tag(triple))
+    if rk != triple.m * f.theta - f.delta:
+        failures[2].append(f"{_case_tag(triple)}: rk={rk}")
 
 
 def verify_grid(
@@ -291,14 +307,17 @@ def verify_grid(
 
     For each s in s_values, each canonical aperiodic sequence with length up
     to rs_max and entries in [lo, hi], each multiplicity and each lam, three
-    exact checks run: the closed-form h^0/h^1 equal the measured ones, both
-    sides satisfy h^0 - h^1 = m * sum(d), and the measured rank satisfies
-    rk h = m*theta(d) - delta(d, lam).  Zero tolerance throughout.
+    exact checks run, with zero tolerance.  The closed-form h^0 and h^1 must
+    equal the measured ones: a wrong rank, theta, delta or degree sum shows
+    there.  The measured rank must satisfy rk h = m*theta(d) - delta(d, lam)
+    for the closed-form theta and delta.  Both sides must satisfy
+    h^0 - h^1 = m * sum(d); as each side gives this for any rk h, theta and
+    delta, it tests only the degree sums sum((d_i + 1)^+) and
+    sum((d_i + 1)^-) that h^0 and h^1 are built from.
 
-    rk h is measured once per distinct (sign shape of d, m, lam) in the box
-    and read back for every other case with that key.  This is exact, not
-    an approximation: `build_presentation` branches on the sign shape
-    alone, so those cases have the same presentation and the same rank.
+    rk h is measured once per distinct (sign shape of d, m, lam) and read
+    back for every case with that key: `build_presentation` branches on the
+    sign shape alone, so those cases share one presentation and one rank.
     Each case still runs its own closed form and its own three checks.
     Every m and lam is checked once, before any case runs, so each case's
     triple is built unchecked; a rank is keyed by lam's position in the
@@ -325,9 +344,7 @@ def verify_grid(
                 raise ValueError(f"{name}={v} is repeated in the grid box")
             seen.add(v)
     cases = 0
-    mismatches: list[str] = []
-    euler: list[str] = []
-    rank_id: list[str] = []
+    failures: tuple[list[str], ...] = ([], [], [])
     ranks: dict[tuple, int] = {}  # (sign shape, m, lam's index) -> rk h, for this call
     for s in s_values:
         if s > rs_max:
@@ -341,29 +358,14 @@ def verify_grid(
                 for at, lam in enumerate(lams):
                     triple = BundleTriple._trusted(seq, m, lam)
                     cases += 1
-                    formula = cohom_dims(triple)
                     key = (shape, m, at)
                     rk = ranks.get(key)
                     if rk is None:
                         rk = ranks[key] = rank_of_h(triple)
-                    oracle_h0, oracle_h1 = measured(m, rk)
-                    if formula.h0 != oracle_h0 or formula.h1 != oracle_h1:
-                        mismatches.append(
-                            f"{_case_tag(s, seq, m, lam)}: formula "
-                            f"({formula.h0},{formula.h1}) vs oracle ({oracle_h0},{oracle_h1})"
-                        )
-                    if not formula.h0 - formula.h1 == oracle_h0 - oracle_h1 == md:
-                        euler.append(_case_tag(s, seq, m, lam))
-                    if rk != m * formula.theta - formula.delta:
-                        rank_id.append(f"{_case_tag(s, seq, m, lam)}: rk={rk}")
+                    _check(triple, cohom_dims(triple), rk, measured(m, rk), md, failures)
     if cases == 0:
         raise ValueError(
             f"the grid box holds no cases: s={list(s_values)}, rs_max={rs_max}, "
             f"m={list(m_values)}, {len(lams)} lambdas"
         )
-    return GridReport(
-        cases=cases,
-        formula_mismatches=tuple(mismatches),
-        euler_failures=tuple(euler),
-        rank_identity_failures=tuple(rank_id),
-    )
+    return GridReport(cases, *map(tuple, failures))

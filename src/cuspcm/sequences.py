@@ -45,7 +45,7 @@ def _frozen(cls):
     # attribute named after a field is its default.  __init__ sets the
     # fields in order, then calls __post_init__ if cls has one; __repr__,
     # __eq__ (same class only) and __hash__ are the dataclass ones; _trusted
-    # builds an instance from checked values without __post_init__.
+    # builds from checked values without __post_init__ (cls, if it has none).
     names = [n for n, a in cls.__annotations__.items() if not a.startswith("ClassVar")]
     defaults = {f"_d_{n}": vars(cls)[n] for n in names if n in vars(cls)}
     params = ", ".join(f"{n}=_d_{n}" if f"_d_{n}" in defaults else n for n in names)
@@ -53,10 +53,10 @@ def _frozen(cls):
     mine, theirs = ("".join(f"{who}.{n}," for n in names) for who in ("self", "other"))
     shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
     post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+    trusted = post and (f"def _trusted({', '.join(names)}):\n"
+                        f"    self = _new(_cls)\n{sets}    return self\n")
     source = (
-        f"def __init__(self, {params}):\n{sets}{post}"
-        f"def _trusted({', '.join(names)}):\n    self = _new(_cls)\n{sets}"
-        "    return self\n"
+        f"def __init__(self, {params}):\n{sets}{post}{trusted}"
         "def __repr__(self):\n"
         f'    return self.__class__.__qualname__ + f"({shown})"\n'
         "def __eq__(self, other):\n"
@@ -68,6 +68,7 @@ def _frozen(cls):
     written: dict = {}
     scope = {"_new": object.__new__, "_set": object.__setattr__, "_cls": cls}
     exec(source, {**scope, **defaults}, written)
+    cls._trusted = cls  # replaced by the written one, if any
     for name, fn in written.items():
         fn.__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, staticmethod(fn) if name == "_trusted" else fn)

@@ -10,7 +10,7 @@ import pytest
 import cuspcm
 from cuspcm import cusp, tpq
 from cuspcm.cli import COMMANDS, main, parse_lambda, parse_seq
-from test_oracle import plant_wrong_closed_form
+from test_oracle import plant_rank_plus_one, plant_wrong_closed_form
 
 
 def run(capsys, *argv):
@@ -123,6 +123,19 @@ def test_verify_single_triple(capsys):
     result = json.loads(out)
     assert result["agree"] is True
     assert result["formula"] == result["oracle"]
+
+
+def test_verify_single_triple_failure_exits_2(capsys, monkeypatch):
+    # rank 5 is not m*theta - delta at m = 2: a failed check, not a traceback.
+    plant_rank_plus_one(monkeypatch)
+    code, out = run(
+        capsys, "verify", "--s", "1", "--seq", "1,0", "--m", "2", "--lambda", "2"
+    )
+    assert code == 2
+    assert len(out.splitlines()) == 1
+    result = json.loads(out)
+    assert result["agree"] is False
+    assert '"agree":false' in out
 
 
 def test_classify_and_lambda_serialization(capsys):

@@ -380,9 +380,26 @@ def test_verify_grid_reports_every_check_a_wrong_closed_form_fails(monkeypatch):
     assert report.ok is False
 
 
-def test_oracle_dims_rejects_a_rank_that_is_not_m_theta_minus_delta(monkeypatch):
+def plant_rank_plus_one(monkeypatch):
+    """Make oracle.rank_of_h measure every rank one too high."""
     real = oracle.rank_of_h
     monkeypatch.setattr(oracle, "rank_of_h", lambda t: real(t) + 1)
+
+
+def plant_wrong_positive_sum(monkeypatch):
+    """Make oracle._measured_dims read sum((d_i + 1)^+) one too high, so the
+    measured h^0 is m too high and h^1 is unchanged."""
+    real = oracle._measured_dims
+
+    def planted(d):
+        measured = real(d)
+        return lambda m, rk: (measured(m, rk)[0] + m, measured(m, rk)[1])
+
+    monkeypatch.setattr(oracle, "_measured_dims", planted)
+
+
+def test_oracle_dims_rejects_a_rank_that_is_not_m_theta_minus_delta(monkeypatch):
+    plant_rank_plus_one(monkeypatch)
     with pytest.raises(ArithmeticError, match=r"^measured rank 5 of .* is not of the form"):
         oracle_dims(triple(1, (1, 0), m=2))
     # at m = 1 every rank is of that form: theta reads 3, one above the true 2
@@ -427,12 +444,12 @@ SMALL_BOX = {"s_values": (1, 2), "rs_max": 3, "lo": -2, "hi": 2,
              "m_values": (1, 2), "lambdas": (1, 2)}
 
 
-def small_box_triples():
-    """Every case of SMALL_BOX with its verify_grid tag, in sweep order."""
-    for s in SMALL_BOX["s_values"]:
-        for seq in enumerate_canonical(s, SMALL_BOX["rs_max"] // s, -2, 2):
-            for m in SMALL_BOX["m_values"]:
-                for lam in SMALL_BOX["lambdas"]:
+def tagged_triples(box):
+    """Every case of a verify_grid box with its tag, in sweep order."""
+    for s in box["s_values"]:
+        for seq in enumerate_canonical(s, box["rs_max"] // s, box["lo"], box["hi"]):
+            for m in box["m_values"]:
+                for lam in box["lambdas"]:
                     yield f"s={s} d={seq} m={m} lam={lam}", BundleTriple(seq, m, lam)
 
 
@@ -441,18 +458,79 @@ def test_verify_grid_eliminates_each_key_once(monkeypatch):
     report = verify_grid(**SMALL_BOX)
     keys = [key for key, _ in calls]
     assert len(keys) == len(set(keys))
-    assert set(keys) == {rank_key(t) for _, t in small_box_triples()}
+    assert set(keys) == {rank_key(t) for _, t in tagged_triples(SMALL_BOX)}
     assert len(keys) < report.cases == 320
 
 
 def test_verify_grid_reads_a_wrong_rank_into_every_case(monkeypatch):
-    expected = [f"{tag}: rk={rank_of_h(t) + 1}" for tag, t in small_box_triples()]
-    real = oracle.rank_of_h
-    monkeypatch.setattr(oracle, "rank_of_h", lambda t: real(t) + 1)
+    expected = [f"{tag}: rk={rank_of_h(t) + 1}" for tag, t in tagged_triples(SMALL_BOX)]
+    plant_rank_plus_one(monkeypatch)
     report = verify_grid(**SMALL_BOX)
     assert list(report.rank_identity_failures) == expected
     assert len(report.formula_mismatches) == report.cases == len(expected)
     assert report.euler_failures == ()  # rk h cancels out of h^0 - h^1
+
+
+def test_verify_grid_finds_a_wrong_degree_sum_in_every_case(monkeypatch):
+    # The Euler check tests the degree sums that h^0 and h^1 are built from:
+    # one sum planted wrong on the oracle side fails it in every case.
+    tags = [tag for tag, _ in tagged_triples(SMALL_BOX)]
+    plant_wrong_positive_sum(monkeypatch)
+    report = verify_grid(**SMALL_BOX)
+    assert list(report.euler_failures) == tags
+    assert len(report.formula_mismatches) == report.cases == len(tags)
+    assert report.rank_identity_failures == ()
+
+
+SINGLE_BOX = {"s_values": (1, 2, 3), "rs_max": 3, "lo": -2, "hi": 2,
+              "m_values": (1, 2, 3), "lambdas": (1, -1, 2, Fraction(1, 2))}
+
+
+def named_cases(report):
+    """The tags of the cases that any of the report's failure lists names."""
+    failures = (report.formula_mismatches + report.euler_failures
+                + report.rank_identity_failures)
+    return {failure.partition(":")[0] for failure in failures}
+
+
+def test_verify_formula_agrees_on_every_case_of_the_box(monkeypatch):
+    calls = record_ranks(monkeypatch)
+    cases = 0
+    for tag, t in tagged_triples(SINGLE_BOX):
+        assert verify_formula(t).agree, tag
+        cases += 1
+    assert len(calls) == cases  # one elimination per call
+    monkeypatch.undo()
+    assert cases == verify_grid(**SINGLE_BOX).cases == (55 + 25 + 125) * 12
+
+
+def plant_one_wrong_closed_form(monkeypatch):
+    plant_wrong_closed_form(
+        monkeypatch, lambda t: (t.seq.s, t.seq.entries, t.m, t.lam) == (1, (-1, 1), 2, -1)
+    )
+
+
+@pytest.mark.parametrize("plant, failing", [
+    (plant_one_wrong_closed_form, 1),
+    (plant_rank_plus_one, 2460),
+    (plant_wrong_positive_sum, 2460),
+], ids=["closed-form-one-case", "rank-plus-one", "positive-sum"])
+def test_verify_formula_fails_exactly_the_cases_the_grid_names(monkeypatch, plant, failing):
+    plant(monkeypatch)
+    named = named_cases(verify_grid(**SINGLE_BOX))
+    failed = {tag for tag, t in tagged_triples(SINGLE_BOX) if not verify_formula(t).agree}
+    assert failed == named
+    assert len(named) == failing
+
+
+def test_verify_formula_reports_a_rank_of_no_form_without_raising(monkeypatch):
+    # The rank 5 that oracle_dims rejects (see above) fails the rank identity.
+    plant_rank_plus_one(monkeypatch)
+    rep = verify_formula(triple(1, (1, 0), m=2))
+    assert rep.agree is False
+    assert (rep.oracle.h0, rep.oracle.h1) == (rep.formula.h0 - 1, rep.formula.h1 - 1)
+    assert rep.oracle.delta == rep.formula.delta == 0
+    assert rep.oracle.theta == (5 + 0) // 2
 
 
 def test_verify_grid_skips_oversized_s():
