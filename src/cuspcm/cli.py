@@ -129,7 +129,7 @@ def _read(record: dict, fields: Sequence[str], s: int) -> Any:
 
 
 def _report_dict(report: CohomReport) -> dict:
-    return dict(vars(report))  # theta, delta, h0, h1
+    return {"theta": report.theta, "delta": report.delta, "h0": report.h0, "h1": report.h1}
 
 
 def _label_dict(label: CMModuleLabel) -> dict:

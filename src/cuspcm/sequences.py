@@ -12,6 +12,8 @@ the sigma-symmetry test of T_pq.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from . import _EXPORTS
 
 __all__ = _EXPORTS["sequences"]
@@ -39,42 +41,60 @@ def _frozen_delattr(self, name):
 
 
 def _frozen(cls):
-    # The frozen value class that @dataclass(frozen=True) would make of cls,
-    # written from one exec of per-class source.  The fields are the
-    # annotations (strings) that are not ClassVar, in order; a class
-    # attribute named after a field is its default.  __init__ sets the
-    # fields in order, then calls __post_init__ if cls has one; __repr__,
-    # __eq__ (same class only) and __hash__ are the dataclass ones; _trusted
-    # builds from checked values without __post_init__ (cls, if it has none).
-    names = [n for n, a in cls.__annotations__.items() if not a.startswith("ClassVar")]
+    # The frozen value class that @dataclass(frozen=True, slots=True) would
+    # make of cls, built anew with __slots__ equal to its fields.  The fields
+    # are the annotations (strings) that are not ClassVar, in order; a class
+    # attribute named after a field is its default, kept only by __init__.
+    # __init__ sets the fields in order, then calls __post_init__ if cls has
+    # one; __repr__, __eq__ (same class only) and __hash__ are the
+    # dataclass ones; _trusted builds from checked values without
+    # __post_init__ (the class itself, if it has none).  Only __init__ and
+    # _trusted are written per class, for speed.
+    names = tuple(n for n, a in cls.__annotations__.items() if not a.startswith("ClassVar"))
     defaults = {f"_d_{n}": vars(cls)[n] for n in names if n in vars(cls)}
     params = ", ".join(f"{n}=_d_{n}" if f"_d_{n}" in defaults else n for n in names)
     sets = "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
-    mine, theirs = ("".join(f"{who}.{n}," for n in names) for who in ("self", "other"))
-    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
     post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
     trusted = post and (f"def _trusted({', '.join(names)}):\n"
                         f"    self = _new(_cls)\n{sets}    return self\n")
-    source = (
-        f"def __init__(self, {params}):\n{sets}{post}{trusted}"
-        "def __repr__(self):\n"
-        f'    return self.__class__.__qualname__ + f"({shown})"\n'
-        "def __eq__(self, other):\n"
-        "    if other.__class__ is self.__class__:\n"
-        f"        return ({mine}) == ({theirs})\n"
-        "    return NotImplemented\n"
-        f"def __hash__(self):\n    return hash(({mine}))\n"
-    )
+    scope = {"_new": object.__new__, "_set": object.__setattr__, **defaults}
     written: dict = {}
-    scope = {"_new": object.__new__, "_set": object.__setattr__, "_cls": cls}
-    exec(source, {**scope, **defaults}, written)
-    cls._trusted = cls  # replaced by the written one, if any
+    exec(f"def __init__(self, {params}):\n{sets}{post}{trusted}", scope, written)
+    get = attrgetter(*names) if len(names) > 1 else lambda obj: (getattr(obj, names[0]),)
+    shown = "{}(" + ", ".join(f"{n}={{!r}}" for n in names) + ")"
+
+    def __repr__(self):
+        return shown.format(self.__class__.__qualname__, *get(self))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return get(self) == get(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(get(self))
+
+    def __getstate__(self):
+        return get(self)
+
+    def __setstate__(self, state):
+        # pickle and copy restore the fields here, past the frozen __setattr__
+        for name, value in zip(names, state):
+            object.__setattr__(self, name, value)
+
+    namespace = {n: v for n, v in vars(cls).items()
+                 if n not in (*names, "__dict__", "__weakref__")}
+    namespace.update(
+        __init__=written["__init__"], __slots__=names, __match_args__=names,
+        __qualname__=cls.__qualname__, __repr__=__repr__, __eq__=__eq__,
+        __hash__=__hash__, __getstate__=__getstate__, __setstate__=__setstate__,
+        __setattr__=_frozen_setattr, __delattr__=_frozen_delattr,
+    )
+    new = scope["_cls"] = type(cls)(cls.__name__, cls.__bases__, namespace)
+    new._trusted = staticmethod(written["_trusted"]) if trusted else new
     for name, fn in written.items():
         fn.__qualname__ = f"{cls.__qualname__}.{name}"
-        setattr(cls, name, staticmethod(fn) if name == "_trusted" else fn)
-    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
-    cls.__match_args__ = tuple(names)
-    return cls
+    return new
 
 
 @_frozen

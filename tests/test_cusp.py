@@ -8,6 +8,7 @@ earlier search over every word, which it replaced.
 """
 
 import gc
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -344,6 +345,23 @@ def test_enumerate_rank_leaves_no_garbage_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_held_rank_slice_stays_small():
+    # 31,293 families.  With the value classes built on __slots__ they held
+    # 8.3 MiB on CPython 3.10, 3.11 and 3.12; with an instance __dict__,
+    # 10.2-14.1 MiB.
+    geom = CuspGeometry(3, (1, 1, 0))
+    enumerate_rank(geom, 2)  # warm up, so that only the slice below is counted
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        piece = enumerate_rank(geom, 5)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(piece.families) == 31293
+    assert held < 9.0 * 2**20
 
 
 # ------------------------------------------------------------ long cycles

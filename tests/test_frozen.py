@@ -2,14 +2,18 @@
 
 `sequences._frozen` writes every value class (and the CLI's `Command`)
 without importing `dataclasses`.  Its reference is the decorator it
-replaces: each class is compared with a `dataclasses.dataclass(frozen=True)`
-twin built from the same annotations and defaults, on instances the
-library itself made.
+replaces: each class is compared with a
+`dataclasses.dataclass(frozen=True, slots=True)` twin built from the same
+annotations and the defaults in `DEFAULTS`, on instances the library itself
+made.
 """
 
+import copy
 import dataclasses
 import importlib
 import inspect
+import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -65,16 +69,21 @@ CLASSES = written_classes()
 SAMPLES = samples()
 
 
-def twin(cls, post_init=None):
-    """The dataclass that @dataclass(frozen=True) makes of cls's annotations
-    and defaults, with the given __post_init__."""
+# Every field default of a written class, by class name.  Fixed here rather
+# than read from the class under test, so that the defaults check has a
+# reference of its own.
+DEFAULTS = {"QuiverNode": {"rank": None}, "Command": {"skip_if": None}}
+
+
+def twin(cls, post_init=None, slots=True):
+    """The dataclass that @dataclass(frozen=True, slots=slots) makes of cls's
+    annotations and DEFAULTS, with the given __post_init__."""
     annotations = dict(vars(cls)["__annotations__"])
     namespace = {"__module__": cls.__module__, "__qualname__": cls.__qualname__,
-                 "__annotations__": annotations}
-    namespace.update((n, vars(cls)[n]) for n in annotations if n in vars(cls))
+                 "__annotations__": annotations, **DEFAULTS.get(cls.__name__, {})}
     if post_init is not None:
         namespace["__post_init__"] = post_init
-    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace))
+    return dataclasses.dataclass(frozen=True, slots=slots)(type(cls.__name__, (), namespace))
 
 
 def fields_of(obj):
@@ -91,6 +100,14 @@ def outcome(call):
 
 def test_every_written_class_has_samples():
     assert set(SAMPLES) == set(CLASSES)
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_the_slots_are_the_fields_and_instances_have_no_dict(name):
+    cls = CLASSES[name]
+    assert cls.__slots__ == cls.__match_args__ == twin(cls).__slots__
+    for obj in SAMPLES[name]:
+        assert not hasattr(obj, "__dict__")
 
 
 @pytest.mark.parametrize("name", sorted(CLASSES))
@@ -148,12 +165,16 @@ def test_assignment_and_deletion_fail_as_in_the_dataclass(name):
     cls = CLASSES[name]
     obj = SAMPLES[name][0]
     theirs = twin(cls)(*fields_of(obj))
-    for attr in (*cls.__match_args__, "other"):
+    # A slots dataclass raises TypeError for a name that is not a field (its
+    # __setattr__ calls super() with the class that slots=True replaced), so
+    # that name is checked against the dataclass without slots.
+    plain = twin(cls, slots=False)(*fields_of(obj))
+    for attr, reference in [(a, theirs) for a in cls.__match_args__] + [("other", plain)]:
         for act in (lambda o: setattr(o, attr, 1), lambda o: delattr(o, attr)):
             with pytest.raises(AttributeError) as ours_err:
                 act(obj)
             with pytest.raises(dataclasses.FrozenInstanceError) as their_err:
-                act(theirs)
+                act(reference)
             assert str(ours_err.value) == str(their_err.value)
             assert type(ours_err.value).__name__ == "FrozenInstanceError"
     assert fields_of(obj) == fields_of(theirs)
@@ -181,7 +202,36 @@ def test_post_init_runs_as_in_the_dataclass(name, monkeypatch):
 def test_a_class_variable_is_not_a_field():
     assert "kind" not in TpqFree.__match_args__
     free = TpqFree(G38)
-    assert free.kind is TpqKind.FREE and "kind" not in vars(free)
+    assert free.kind is TpqKind.FREE and "kind" not in type(free).__slots__
+    assert not hasattr(free, "__dict__")
     for name in ("TpqFree", "TpqSingle", "TpqBranch"):
         names = [f.name for f in dataclasses.fields(twin(CLASSES[name]))]
         assert "kind" not in names and tuple(names) == CLASSES[name].__match_args__
+
+
+ROUND_TRIPS = {
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_pickle_copy_and_deepcopy_round_trip_as_in_the_dataclass(name, how, monkeypatch):
+    cls, trip = CLASSES[name], ROUND_TRIPS[how]
+    tw = twin(cls)
+
+    def back(obj):
+        again = trip(obj)
+        return type(again) is type(obj), again == obj
+
+    for obj in SAMPLES[name]:
+        ours = outcome(lambda: back(obj))
+        with monkeypatch.context() as patch:
+            # pickle finds a class by its module and name: let it find the twin
+            patch.setattr(sys.modules[cls.__module__], cls.__name__, tw)
+            theirs = outcome(lambda: back(tw(*fields_of(obj))))
+        assert ours == theirs
+        if name != "Command":  # a Command holds lambdas, which do not pickle
+            assert ours == (True, True)
