@@ -155,18 +155,22 @@ def _tube_level(label: CMModuleLabel, m: int) -> CMModuleLabel:
 
 
 def _twist_candidates(geom: CuspGeometry, r: int, slack: int) -> list[tuple[int, ...]]:
-    """Block prenecklaces d >= 0 of length r*s, in lexicographic order, whose
+    """Block Lyndon words d >= 0 of length r*s, in lexicographic order, whose
     twist v = d - B^r has exactly slack global sections at m = 1 and
     generic lam.
 
-    A block prenecklace is a prefix of a word that is least among its
-    rotations by multiples of s; every canonical aperiodic sequence is one,
-    and the caller drops the rest.  The walk is the Fredricksen-Kessler-
-    Maiorana search (Cattell, Ruskey, Sawada, Serra and Miers 2000) over
-    the alphabet of s-blocks: p is the period of the prefix, a multiple of
-    s, and while the block being filled still equals the block p back,
-    entry i is at least d[i - p].  B^r has period s, so that bound reads
-    v[i] >= v[i - p] on the twist.
+    A block Lyndon word is strictly less than each of its rotations by a
+    nonzero multiple of s: exactly a canonical aperiodic sequence.  The
+    walk is the Fredricksen-Kessler-Maiorana search (Cattell, Ruskey,
+    Sawada, Serra and Miers 2000) over the alphabet of s-blocks.  It visits
+    every block prenecklace, a prefix of a word least among its rotations:
+    p is the period of the prefix, a multiple of s, and while the block
+    being filled still equals the block p back, entry i is at least
+    d[i - p].  B^r has period s, so that bound reads v[i] >= v[i - p] on
+    the twist.  A prenecklace of length n is a Lyndon word exactly when its
+    period is n, so a leaf is kept when its last block exceeds the block p
+    back.  `sequences.enumerate_canonical` is the same walk over a box of
+    entries, with the same rule.
 
     The section count splits over the maximal cyclic runs of non-negative
     entries of v: a run contributes its sum, minus one unless it is all
@@ -224,7 +228,7 @@ def _twist_candidates(geom: CuspGeometry, r: int, slack: int) -> list[tuple[int,
             if c_neg:
                 total = c_run + c_head  # the open run wraps into the head run
                 c_closed += total - 1 if total > 0 else 0
-            if (c_closed if c_neg else c_head) == slack:
+            if (c_closed if c_neg else c_head) == slack and (gt or buf[i] > buf[i - p]):
                 out.append(tuple(buf))
             v += 1
             continue
@@ -265,6 +269,9 @@ def enumerate_rank(geom: CuspGeometry, rank: int) -> RankSlice:
             for entries in _twist_candidates(geom, r, rank // m - r):
                 # the search made an int tuple of length r*s: checked data
                 seq = SSeq._trusted(s, entries)
+                # Drops nothing the walk yields.  It stays, with the three
+                # traced metrics that read it, until ROADMAP item 1's
+                # benchmark-only change.
                 if not is_aperiodic(seq) or canonical_form(seq) is not seq:
                     continue
                 base = except_one if entries in special else every

@@ -199,6 +199,8 @@ def enumerate_canonical(s: int, max_r: int, lo: int, hi: int) -> list[SSeq]:
     Sawada, Serra and Miers 2000), which walks the block prenecklaces in
     lexicographic order: p is the period of the word, a multiple of s,
     and a prenecklace of length n is Lyndon exactly when p == n.
+    `cusp._twist_candidates` is the same walk with the same rule, over
+    twist bounds and with a section-count prune.
 
     Raises:
         ValueError: for s or max_r not an int >= 1, entries lo or hi not

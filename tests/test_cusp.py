@@ -3,8 +3,8 @@
 The enumeration is cross-checked against a deliberately dumber search:
 iterate (m, sequence) the other way around under the coarser bound
 sum(d) <= rank/m + r*sum(b) and keep whatever has the right rank.  The
-prenecklace walk of the candidate search is cross-checked against the
-earlier search over every word, which it replaced.
+Lyndon walk of the candidate search is cross-checked against the earlier
+search over every word, which it replaced, filtered by brute force.
 """
 
 import gc
@@ -106,12 +106,10 @@ def reference_twist_candidates(geom, r, slack):
     return out
 
 
-def is_block_prenecklace(entries, s):
-    """True when every suffix starting at a block boundary is at least the
-    prefix of the same length: exactly the prefixes of words that are least
-    among their rotations by multiples of s."""
-    n = len(entries)
-    return all(entries[c:] >= entries[: n - c] for c in range(s, n, s))
+def is_block_lyndon(entries, s):
+    """True when every rotation by a nonzero multiple of s is strictly
+    greater: exactly the canonical aperiodic sequences."""
+    return all(entries[c:] + entries[:c] > entries for c in range(s, len(entries), s))
 
 
 # The benchmark's growth tables: (b, largest rank).
@@ -316,17 +314,35 @@ def test_family_counts_rejects_bad_bound():
         family_counts(B1, 0)
 
 
-# ------------------------------------------------ prenecklace candidates
+# ----------------------------------------------------- Lyndon candidates
 
 
-@pytest.mark.parametrize("b,r_max", GROWTH_BOXES, ids=str)
-def test_candidates_are_the_reference_prenecklaces(b, r_max):
+@pytest.mark.parametrize(
+    "b,r_max",
+    GROWTH_BOXES + [((2, 0, 1, 0), 4), ((1, 0, 0, 1, 0), 4), ((3,), 7), ((0, 2), 6)],
+    ids=str,
+)
+def test_candidates_are_the_reference_lyndon_words(b, r_max):
     geom = CuspGeometry(len(b), b)
     for r in range(1, r_max + 1):
         for slack in range(r_max - r + 1):
             every = reference_twist_candidates(geom, r, slack)
-            want = [e for e in every if is_block_prenecklace(e, geom.s)]
+            want = [e for e in every if is_block_lyndon(e, geom.s)]
             assert cusp._twist_candidates(geom, r, slack) == want, (r, slack)
+
+
+@pytest.mark.parametrize("b,r_max", GROWTH_BOXES, ids=str)
+def test_the_walk_yields_exactly_the_families(b, r_max):
+    # enumerate_rank's filter has nothing left to drop.
+    geom = CuspGeometry(len(b), b)
+    for rank in range(1, r_max + 1):
+        walked = sum(
+            len(cusp._twist_candidates(geom, r, rank // m - r))
+            for r in range(1, rank + 1)
+            for m in range(1, rank // r + 1)
+            if rank % m == 0
+        )
+        assert walked == len(enumerate_rank(geom, rank).families), rank
 
 
 @pytest.mark.parametrize("b,r_max", GROWTH_BOXES + [((1, 1, 0), 5)], ids=str)
