@@ -161,8 +161,11 @@ def _verify(args: argparse.Namespace, _geom: None) -> Callable:
         if triple is None:
             return _verify_grid(args.grid)
         r = verify_formula(triple)
-        return {"agree": r.agree, "formula": _report_dict(r.formula),
-                "oracle": _report_dict(r.oracle)}
+        result = {"agree": r.agree, "formula": _report_dict(r.formula),
+                  "oracle": _report_dict(r.oracle)}
+        if not r.agree:
+            result["failures"] = list(r.failures)
+        return result
 
     return answer
 

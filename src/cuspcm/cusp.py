@@ -131,16 +131,22 @@ def _canonical_triple(triple: BundleTriple, geom: CuspGeometry) -> BundleTriple:
 
 
 def _canonical(triple: BundleTriple) -> BundleTriple:
-    # The canonical rotation of an aperiodic triple, with the same m and lam.
-    canon, periodic = _least_form(triple.seq)
+    # The canonical rotation of an aperiodic triple, with the same m and lam:
+    # the triple itself when its sequence is already least and it is a
+    # BundleTriple, checked when it was built.
+    seq = triple.seq
+    canon, periodic = _least_form(seq)
     if periodic:
-        raise ValueError(f"periodic sequence {triple.seq} does not label a module")
+        raise ValueError(f"periodic sequence {seq} does not label a module")
+    if canon is seq and type(triple) is BundleTriple:
+        return triple
     return BundleTriple._trusted(canon, triple.m, triple.lam)
 
 
 def _special(geom: CuspGeometry, seq: SSeq, lam: Fraction) -> bool:
     # The one jump rule: M(B, m, 1) has rank m + 1, and A is glued to its tube.
-    return lam == 1 and seq.entries == geom.b
+    # The tuple test runs first: it is in C and almost always false.
+    return seq.entries == geom.b and lam == 1
 
 
 def _tube_level(label: CMModuleLabel, m: int) -> CMModuleLabel:

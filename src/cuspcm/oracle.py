@@ -240,11 +240,14 @@ def oracle_dims(triple: BundleTriple) -> CohomReport:
 
 @_frozen
 class VerifyReport:
-    """Formula and oracle reports side by side for one triple; agree: no check failed."""
+    """Formula and oracle reports side by side for one triple; agree: no check
+    failed.  failures holds one descriptor per failed check, as `GridReport`
+    words them and in its order."""
 
     formula: CohomReport
     oracle: CohomReport
     agree: bool
+    failures: tuple[str, ...] = ()
 
 
 def verify_formula(triple: BundleTriple) -> VerifyReport:
@@ -254,7 +257,8 @@ def verify_formula(triple: BundleTriple) -> VerifyReport:
     o = _measured_report(triple, rk)[0]
     failures: tuple[list[str], ...] = ([], [], [])
     _check(triple, f, rk, (o.h0, o.h1), triple.m * sum(triple.seq.entries), failures)
-    return VerifyReport(formula=f, oracle=o, agree=not any(failures))
+    found = tuple(sum(failures, []))
+    return VerifyReport(formula=f, oracle=o, agree=not found, failures=found)
 
 
 @_frozen

@@ -49,15 +49,19 @@ def _frozen(cls):
     # one; __repr__, __eq__ (same class only) and __hash__ are the
     # dataclass ones; _trusted builds from checked values without
     # __post_init__ (the class itself, if it has none).  Only __init__ and
-    # _trusted are written per class, for speed.
+    # _trusted are written per class, for speed: each writes a field through
+    # the __set__ of that field's slot descriptor, bound once per class and
+    # read as a global _set_<name>, which skips object.__setattr__'s name
+    # lookup.  __eq__ answers True for the object itself before it builds
+    # the field tuples, as the tuple comparison would.
     names = tuple(n for n, a in cls.__annotations__.items() if not a.startswith("ClassVar"))
     defaults = {f"_d_{n}": vars(cls)[n] for n in names if n in vars(cls)}
     params = ", ".join(f"{n}=_d_{n}" if f"_d_{n}" in defaults else n for n in names)
-    sets = "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
+    sets = "".join(f"    _set_{n}(self, {n})\n" for n in names)
     post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
     trusted = post and (f"def _trusted({', '.join(names)}):\n"
                         f"    self = _new(_cls)\n{sets}    return self\n")
-    scope = {"_new": object.__new__, "_set": object.__setattr__, **defaults}
+    scope = {"_new": object.__new__, **defaults}
     written: dict = {}
     exec(f"def __init__(self, {params}):\n{sets}{post}{trusted}", scope, written)
     get = attrgetter(*names) if len(names) > 1 else lambda obj: (getattr(obj, names[0]),)
@@ -67,6 +71,8 @@ def _frozen(cls):
         return shown.format(self.__class__.__qualname__, *get(self))
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return get(self) == get(other)
         return NotImplemented
@@ -91,6 +97,7 @@ def _frozen(cls):
         __setattr__=_frozen_setattr, __delattr__=_frozen_delattr,
     )
     new = scope["_cls"] = type(cls)(cls.__name__, cls.__bases__, namespace)
+    scope.update((f"_set_{n}", vars(new)[n].__set__) for n in names)
     new._trusted = staticmethod(written["_trusted"]) if trusted else new
     for name, fn in written.items():
         fn.__qualname__ = f"{cls.__qualname__}.{name}"

@@ -138,6 +138,23 @@ def test_verify_single_triple_failure_exits_2(capsys, monkeypatch):
     assert '"agree":false' in out
 
 
+def test_a_failed_single_verify_names_its_failed_checks(capsys, monkeypatch):
+    # A passing run prints no "failures" key; a failing one lists the
+    # descriptors verify --grid gives for the case, the rank identity's too.
+    argv = ["verify", "--s", "1", "--seq", "1,0", "--m", "2", "--lambda", "2"]
+    code, out = run(capsys, *argv)
+    assert code == 0 and "failures" not in json.loads(out)
+    plant_rank_plus_one(monkeypatch)
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["failures"] == [
+        "s=1 d=[1,0] m=2 lam=2: formula (2,0) vs oracle (1,-1)",
+        "s=1 d=[1,0] m=2 lam=2: rk=5",
+    ]
+    code, out = run(capsys, *argv, "--format", "table")
+    assert code == 2 and "failures" not in out and "rk=" not in out
+
+
 def test_classify_and_lambda_serialization(capsys):
     code, out = run(
         capsys, "classify", "--s", "1", "--b", "1", "--seq", "2", "--m", "1",

@@ -30,7 +30,9 @@ from cuspcm import (
     free_label,
     is_aperiodic,
     module_rank,
+    shift_by,
 )
+from test_acceptance import tube_bases
 
 B1 = CuspGeometry(1, [1])
 
@@ -193,6 +195,45 @@ def test_classify_label_scans_the_rotations_once(monkeypatch):
 def test_classify_label_canonicalizes():
     lab = classify_label(BundleTriple(SSeq(1, (2, 0)), 1, Fraction(3)), B1)
     assert lab.triple.seq.entries == (0, 2)
+
+
+def test_a_canonical_triple_is_kept_and_a_rotation_is_rebuilt():
+    least = BundleTriple(SSeq(1, (0, 2)), 2, Fraction(3))
+    assert classify_label(least, B1).triple is least
+    rotated = BundleTriple(SSeq(1, (2, 0)), 2, Fraction(3))
+    lab = classify_label(rotated, B1)
+    assert lab.triple is not rotated and lab.triple == least
+    assert lab.triple.lam is rotated.lam
+
+
+# The geometries and scalars of acceptance criterion 05, and the stride
+# through its bases: all of them on the three small geometries, every 40th
+# of the 320,217 on b = (1, 1, 0), where all of them take about 14 s.
+AR_BASES = [((1, (1,)), 1), ((1, (2,)), 1), ((2, (1, 0)), 1), ((3, (1, 1, 0)), 40)]
+AR_LAMBDAS = [Fraction(2), Fraction(1), Fraction(-1), Fraction(1, 2)]
+
+
+@pytest.mark.parametrize("geometry,stride", AR_BASES, ids=str)
+def test_labels_equal_the_rebuilt_canonical_triples(geometry, stride):
+    # The label of a criterion-05 case (m <= 5), and of every other rotation
+    # of its base at m = 1, against the label rebuilt the way classify_label
+    # built it before it kept a canonical triple: a fresh triple over
+    # canonical_form of the sequence.  Only the base itself is kept.
+    geom = CuspGeometry(*geometry)
+    lams = AR_LAMBDAS[:1] if geom.s == 3 else AR_LAMBDAS
+    checked = 0
+    for base in tube_bases(geom, 6)[::stride]:
+        cases = [(base, lam, m) for lam in lams for m in range(1, 6)
+                 if lam != 1 or any(base.entries)]
+        cases += [(shift_by(base, k), lams[0], 1) for k in range(1, base.r)]
+        for seq, lam, m in cases:
+            t = BundleTriple(seq, m, lam)
+            lab = classify_label(t, geom)
+            rebuilt = BundleTriple(canonical_form(t.seq), t.m, t.lam)
+            assert lab == CMModuleLabel._trusted(geom, rebuilt, module_rank(t, geom))
+            assert (lab.triple is t) is (seq is base)
+            checked += 1
+    assert checked > 1000
 
 
 def test_free_label():

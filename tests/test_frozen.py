@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+from cuspcm import sequences
 from cuspcm import (
     BundleTriple, CuspGeometry, SSeq, TpqFree, TpqKind, ar_sequence, build_presentation,
     build_tube, classify_label, cohom_dims, descend, enumerate_rank, family_counts,
@@ -72,18 +73,25 @@ SAMPLES = samples()
 # Every field default of a written class, by class name.  Fixed here rather
 # than read from the class under test, so that the defaults check has a
 # reference of its own.
-DEFAULTS = {"QuiverNode": {"rank": None}, "Command": {"skip_if": None}}
+DEFAULTS = {"QuiverNode": {"rank": None}, "Command": {"skip_if": None},
+            "VerifyReport": {"failures": ()}}
 
 
-def twin(cls, post_init=None, slots=True):
-    """The dataclass that @dataclass(frozen=True, slots=slots) makes of cls's
-    annotations and DEFAULTS, with the given __post_init__."""
+def bare(cls, post_init=None):
+    """A plain class with cls's name, annotations and DEFAULTS, and the given
+    __post_init__."""
     annotations = dict(vars(cls)["__annotations__"])
     namespace = {"__module__": cls.__module__, "__qualname__": cls.__qualname__,
                  "__annotations__": annotations, **DEFAULTS.get(cls.__name__, {})}
     if post_init is not None:
         namespace["__post_init__"] = post_init
-    return dataclasses.dataclass(frozen=True, slots=slots)(type(cls.__name__, (), namespace))
+    return type(cls.__name__, (), namespace)
+
+
+def twin(cls, post_init=None, slots=True):
+    """The dataclass that @dataclass(frozen=True, slots=slots) makes of cls's
+    annotations and DEFAULTS, with the given __post_init__."""
+    return dataclasses.dataclass(frozen=True, slots=slots)(bare(cls, post_init))
 
 
 def fields_of(obj):
@@ -235,3 +243,35 @@ def test_pickle_copy_and_deepcopy_round_trip_as_in_the_dataclass(name, how, monk
         assert ours == theirs
         if name != "Command":  # a Command holds lambdas, which do not pickle
             assert ours == (True, True)
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_every_writer_makes_a_frozen_value_equal_to_the_checked_one(name):
+    # _trusted, pickle, copy and deepcopy write the fields by other routes
+    # than __init__: each makes a value that refuses assignment and deletion
+    # and equals the __init__-built one.
+    cls = CLASSES[name]
+    other = sequences._frozen(bare(cls))  # another class with the same fields
+    for obj in SAMPLES[name]:
+        values = fields_of(obj)
+        built = cls(*values)
+        writers = [cls._trusted(*values), copy.copy(built), copy.deepcopy(built)]
+        if name != "Command":  # a Command holds lambdas, which do not pickle
+            writers.append(pickle.loads(pickle.dumps(built)))
+        for made in [built, *writers]:
+            assert type(made) is cls
+            assert made == built and built == made and not made != built
+            for attr in cls.__match_args__:
+                with pytest.raises(sequences.FrozenInstanceError):
+                    setattr(made, attr, None)
+                with pytest.raises(sequences.FrozenInstanceError):
+                    delattr(made, attr)
+            assert fields_of(made) == values
+        # equal to itself and to a field-wise copy; never to another class's
+        # value with the same fields
+        assert obj == obj and not obj != obj and obj.__eq__(obj) is True
+        assert obj == cls(*values) and obj == cls._trusted(*values)
+        twin_value = other(*values)
+        assert fields_of(twin_value) == values
+        assert obj != twin_value and twin_value != obj
+        assert obj.__eq__(twin_value) is twin_value.__eq__(obj) is NotImplemented

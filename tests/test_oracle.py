@@ -323,6 +323,7 @@ def test_oracle_dims_examples():
 
 def test_verify_formula_examples():
     assert verify_formula(triple(1, (0,), lam=1)).agree
+    assert verify_formula(triple(1, (0,), lam=1)).failures == ()
     rep = verify_formula(triple(1, (1, -1, 2), lam=3))
     assert rep.agree
     assert (rep.formula.h0, rep.formula.h1) == (2, 0)
@@ -523,6 +524,24 @@ def test_verify_formula_fails_exactly_the_cases_the_grid_names(monkeypatch, plan
     assert len(named) == failing
 
 
+@pytest.mark.parametrize("plant", [
+    plant_one_wrong_closed_form, plant_rank_plus_one, plant_wrong_positive_sum,
+], ids=["closed-form-one-case", "rank-plus-one", "positive-sum"])
+def test_verify_formula_lists_the_descriptors_the_grid_gives(monkeypatch, plant):
+    # Per case: the grid's descriptors of that case, formula mismatches,
+    # then Euler failures, then rank identity failures.
+    plant(monkeypatch)
+    report = verify_grid(**SINGLE_BOX)
+    by_tag: dict = {}
+    for failure in (report.formula_mismatches + report.euler_failures
+                    + report.rank_identity_failures):
+        by_tag.setdefault(failure.partition(":")[0], []).append(failure)
+    for tag, t in tagged_triples(SINGLE_BOX):
+        rep = verify_formula(t)
+        assert rep.failures == tuple(by_tag.get(tag, ())), tag
+        assert rep.agree is (not rep.failures)
+
+
 def test_verify_formula_reports_a_rank_of_no_form_without_raising(monkeypatch):
     # The rank 5 that oracle_dims rejects (see above) fails the rank identity.
     plant_rank_plus_one(monkeypatch)
@@ -531,6 +550,8 @@ def test_verify_formula_reports_a_rank_of_no_form_without_raising(monkeypatch):
     assert (rep.oracle.h0, rep.oracle.h1) == (rep.formula.h0 - 1, rep.formula.h1 - 1)
     assert rep.oracle.delta == rep.formula.delta == 0
     assert rep.oracle.theta == (5 + 0) // 2
+    assert rep.failures == ("s=1 d=[1,0] m=2 lam=2: formula (2,0) vs oracle (1,-1)",
+                            "s=1 d=[1,0] m=2 lam=2: rk=5")
 
 
 def test_verify_grid_skips_oversized_s():
