@@ -21,7 +21,9 @@ from operator import attrgetter
 
 from . import _EXPORTS
 from .cohomology import BundleTriple, CuspGeometry, _exists, _geometry, module_rank
-from .sequences import SSeq, _count, _frozen, _least_form, canonical_form, is_aperiodic
+from .sequences import (
+    SSeq, _block_lyndon, _count, _frozen, _least_form, canonical_form, is_aperiodic,
+)
 
 __all__ = _EXPORTS["cusp"]
 
@@ -47,6 +49,8 @@ class CMModuleLabel:
 
     def __post_init__(self) -> None:
         t, geom = self.triple, self.geometry
+        if t is not None and type(t) is not BundleTriple:
+            raise ValueError(f"triple {t!r} is not a classified label")
         if type(self.rank) is not int or self != (
             free_label(geom) if t is None else classify_label(t, geom)
         ):
@@ -163,88 +167,10 @@ def _tube_level(label: CMModuleLabel, m: int) -> CMModuleLabel:
 def _twist_candidates(geom: CuspGeometry, r: int, slack: int) -> list[tuple[int, ...]]:
     """Block Lyndon words d >= 0 of length r*s, in lexicographic order, whose
     twist v = d - B^r has exactly slack global sections at m = 1 and
-    generic lam.
-
-    A block Lyndon word is strictly less than each of its rotations by a
-    nonzero multiple of s: exactly a canonical aperiodic sequence.  The
-    walk is the Fredricksen-Kessler-Maiorana search (Cattell, Ruskey,
-    Sawada, Serra and Miers 2000) over the alphabet of s-blocks.  It visits
-    every block prenecklace, a prefix of a word least among its rotations:
-    p is the period of the prefix, a multiple of s, and while the block
-    being filled still equals the block p back, entry i is at least
-    d[i - p].  B^r has period s, so that bound reads v[i] >= v[i - p] on
-    the twist.  A prenecklace of length n is a Lyndon word exactly when its
-    period is n, so a leaf is kept when its last block exceeds the block p
-    back.  `sequences.enumerate_canonical` is the same walk over a box of
-    entries, with the same rule.
-
-    The section count splits over the maximal cyclic runs of non-negative
-    entries of v: a run contributes its sum, minus one unless it is all
-    zero or wraps the whole cycle.  Entries are filled left to right in
-    increasing order; a partial run can only gain sum, so the accumulated
-    count is a lower bound and prunes the search.  The run through
-    position 0 is settled last, when its wrap status is known.
-
-    The walk keeps its frames on an explicit stack, so its depth r*s is
-    not bounded by the interpreter's recursion limit.
+    generic lam: `sequences._block_lyndon` with low = 0, b = B^r and
+    vmax = slack + 1.
     """
-    s = geom.s
-    b = geom.b * r
-    n = s * r
-    # a positive entry v_i costs at least v_i - 1 sections
-    vmax = slack + 1
-    buf = [0] * n
-    out: list[tuple[int, ...]] = []
-    stack: list[tuple] = []
-    # The frame filling entry i.  gt: the block being filled already exceeds
-    # the block p back.  closed counts the sections of the runs already
-    # ended; run is the sum of the open run and head the sum of the run
-    # through position 0, which stays open until the first negative entry
-    # (neg).  Entries of a run are non-negative, so its sum is positive
-    # exactly when it holds a positive entry: it then costs sum - 1.
-    # The c_ names hold the state with entry i placed.  The first block has
-    # nothing to exceed; it fixes p = s when it ends.
-    i, p, gt, closed, run, neg, head = 0, 0, True, 0, 0, False, 0
-    v = -b[0]
-    while True:
-        if v > vmax:
-            if not stack:
-                return out
-            i, p, gt, closed, run, neg, head, v = stack.pop()
-            continue
-        if v < 0:
-            # within slack: head <= vmax, and each extension of run was checked
-            c_closed = closed + (run - 1 if run > 0 else 0)
-            c_run, c_neg, c_head = 0, True, head
-        elif not neg:
-            c_head = head + v
-            if c_head > vmax:
-                v = vmax + 1
-                continue
-            c_closed, c_run, c_neg = closed, 0, False
-        else:
-            c_run = run + v
-            head_cost = head - 1 if head > 0 else 0
-            if closed + (c_run - 1 if c_run > 0 else 0) + head_cost > slack:
-                v = vmax + 1
-                continue
-            c_closed, c_neg, c_head = closed, True, head
-        buf[i] = v + b[i]
-        if i + 1 == n:
-            if c_neg:
-                total = c_run + c_head  # the open run wraps into the head run
-                c_closed += total - 1 if total > 0 else 0
-            if (c_closed if c_neg else c_head) == slack and (gt or buf[i] > buf[i - p]):
-                out.append(tuple(buf))
-            v += 1
-            continue
-        stack.append((i, p, gt, closed, run, neg, head, v + 1))
-        gt = gt or buf[i] > buf[i - p]
-        i += 1
-        if gt and i % s == 0:
-            p, gt = i, False
-        closed, run, neg, head = c_closed, c_run, c_neg, c_head
-        v = -b[i] if gt else buf[i - p] - b[i]
+    return _block_lyndon(geom.s, geom.b * r, 0, slack + 1, slack)
 
 
 def enumerate_rank(geom: CuspGeometry, rank: int) -> RankSlice:

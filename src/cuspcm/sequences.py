@@ -4,10 +4,11 @@ A sequence of multiplicity r assigns one integer to each of the r*s
 positions obtained by walking the cycle r times.  Positions are cyclic
 (position i + r*s is position i), and the only relabelings that preserve
 the underlying geometry are rotations by whole copies of the cycle, i.e.
-by multiples of s.  This module provides that rotation, bounded
-enumeration of canonical (lexicographically least) representatives, and
-one scan, linear in the length, behind is_aperiodic, canonical_form and
-the sigma-symmetry test of T_pq.
+by multiples of s.  This module provides that rotation, one scan, linear
+in the length, behind is_aperiodic, canonical_form and the sigma-symmetry
+test of T_pq, and one walk over the canonical aperiodic sequences (the
+block Lyndon words) behind both enumerations: the bounded box of
+enumerate_canonical and the section-count search of enumerate_rank.
 """
 
 from __future__ import annotations
@@ -195,19 +196,102 @@ def _least_form(seq: SSeq) -> tuple[SSeq, bool]:
     return (seq if least is seq.entries else SSeq._trusted(seq.s, least)), periodic
 
 
+def _block_lyndon(s: int, b: tuple[int, ...], low: int, vmax: int,
+                  slack: int) -> list[tuple[int, ...]]:
+    """The block Lyndon words d of length n = len(b), in lexicographic
+    order, with low <= d_i <= b_i + vmax and whose twist v = d - b has
+    exactly slack global sections at m = 1 and generic lam; b has period s.
+
+    This one walk serves both enumerations.  A block Lyndon word is
+    strictly less than each of its rotations by a nonzero multiple of s:
+    exactly a canonical aperiodic sequence.  The walk is the
+    Fredricksen-Kessler-Maiorana search (Cattell, Ruskey, Sawada, Serra and
+    Miers 2000) over the alphabet of s-blocks.  It visits every block
+    prenecklace, a prefix of a word least among its rotations: p is the
+    period of the prefix, a multiple of s, and while the block being filled
+    still equals the block p back, entry i is at least d[i - p], so
+    v[i] >= v[i - p].  A prenecklace of length n is a Lyndon word exactly
+    when its period is n, so a leaf is kept when its last block exceeds
+    the block p back.
+
+    The section count splits over the maximal cyclic runs of non-negative
+    entries of v: a run contributes its sum, minus one unless it is all
+    zero or wraps the whole cycle.  Entries are filled left to right in
+    increasing order; a partial run can only gain sum, so the accumulated
+    count is a lower bound and prunes the search.  The run through
+    position 0 is settled last, when its wrap status is known.
+
+    The box [lo, hi]^n is the walk with low = lo, b = (hi,) * n and
+    vmax = slack = 0: the twist of a box word by the constant hi is
+    nowhere positive, so every word has 0 sections and the prune never
+    cuts inside the box.  The twist search has low = 0 and b = B^r, and
+    vmax = slack + 1, since a positive v_i costs at least v_i - 1
+    sections.  The transfer-matrix family counts of ROADMAP items 2 and 4
+    are the counting twins of this walk.  The frames live on an explicit
+    stack, so the depth n is not bounded by the recursion limit.
+    """
+    # The frame filling entry i.  gt: the block being filled already exceeds
+    # the block p back.  closed counts the sections of the runs already
+    # ended; run is the sum of the open run and head the sum of the run
+    # through position 0, which stays open until the first negative entry
+    # (neg).  Entries of a run are non-negative, so its sum is positive
+    # exactly when it holds a positive entry: it then costs sum - 1.
+    # The c_ names hold the state with entry i placed.  The first block has
+    # nothing to exceed; it fixes p = s when it ends.
+    n = len(b)
+    buf = [0] * n
+    out: list[tuple[int, ...]] = []
+    stack: list[tuple] = []
+    i, p, gt, closed, run, neg, head = 0, 0, True, 0, 0, False, 0
+    v = low - b[0]
+    while True:
+        if v > vmax:
+            if not stack:
+                return out
+            i, p, gt, closed, run, neg, head, v = stack.pop()
+            continue
+        if v < 0:
+            # within slack: head <= vmax, and each extension of run was checked
+            c_closed = closed + (run - 1 if run > 0 else 0)
+            c_run, c_neg, c_head = 0, True, head
+        elif not neg:
+            c_head = head + v
+            if c_head > vmax:
+                v = vmax + 1
+                continue
+            c_closed, c_run, c_neg = closed, 0, False
+        else:
+            c_run = run + v
+            head_cost = head - 1 if head > 0 else 0
+            if closed + (c_run - 1 if c_run > 0 else 0) + head_cost > slack:
+                v = vmax + 1
+                continue
+            c_closed, c_neg, c_head = closed, True, head
+        buf[i] = v + b[i]
+        if i + 1 == n:
+            if c_neg:
+                total = c_run + c_head  # the open run wraps into the head run
+                c_closed += total - 1 if total > 0 else 0
+            if (c_closed if c_neg else c_head) == slack and (gt or buf[i] > buf[i - p]):
+                out.append(tuple(buf))
+            v += 1
+            continue
+        stack.append((i, p, gt, closed, run, neg, head, v + 1))
+        gt = gt or buf[i] > buf[i - p]
+        i += 1
+        if gt and i % s == 0:
+            p, gt = i, False
+        closed, run, neg, head = c_closed, c_run, c_neg, c_head
+        v = low - b[i] if gt else buf[i - p] - b[i]
+
+
 def enumerate_canonical(s: int, max_r: int, lo: int, hi: int) -> list[SSeq]:
     """All aperiodic canonical sequences with r <= max_r and entries in [lo, hi].
 
     Canonical means equal to its own canonical form, so each rotation class
     appears exactly once.  The result is ordered by (length, entries).
-
-    These are the Lyndon words over the alphabet of s-blocks.  They come
-    from the Fredricksen-Kessler-Maiorana algorithm (Cattell, Ruskey,
-    Sawada, Serra and Miers 2000), which walks the block prenecklaces in
-    lexicographic order: p is the period of the word, a multiple of s,
-    and a prenecklace of length n is Lyndon exactly when p == n.
-    `cusp._twist_candidates` is the same walk with the same rule, over
-    twist bounds and with a section-count prune.
+    These are the block Lyndon words of each length n = r*s, from
+    `_block_lyndon` with low = lo, b = (hi,) * n and vmax = slack = 0.
 
     Raises:
         ValueError: for s or max_r not an int >= 1, entries lo or hi not
@@ -219,22 +303,5 @@ def enumerate_canonical(s: int, max_r: int, lo: int, hi: int) -> list[SSeq]:
         raise ValueError("sequence entries must be integers")
     if lo > hi:
         raise ValueError(f"empty entry range: lo={lo} is greater than hi={hi}")
-    found: list[SSeq] = []
-    for n in range(s, max_r * s + 1, s):
-        a = [lo] * n
-        p = s  # the period of a, a multiple of s
-        while True:
-            if p == n:
-                found.append(SSeq._trusted(s, tuple(a)))
-            # the next prenecklace: raise the last entry below hi, fill the
-            # rest of its block with lo, then repeat the prefix up to there
-            i = n - 1
-            while i >= 0 and a[i] == hi:
-                i -= 1
-            if i < 0:
-                break
-            a[i] += 1
-            p = (i // s + 1) * s
-            head = a[: i + 1] + [lo] * (p - i - 1)
-            a = (head * (n // p + 1))[:n]
-    return found
+    return [SSeq._trusted(s, d) for n in range(s, max_r * s + 1, s)
+            for d in _block_lyndon(s, (hi,) * n, lo, 0, 0)]

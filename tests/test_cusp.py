@@ -250,6 +250,7 @@ def test_free_label():
     (BundleTriple(SSeq(2, (1, 0)), 1, 3), 2),  # a sequence for s = 2
     (None, 2),  # the free module has rank 1
     (None, True),  # a bool is not a rank
+    ((1, 2), 2),  # not a BundleTriple
 ], ids=str)
 def test_a_hand_built_label_is_checked(triple, rank):
     with pytest.raises(ValueError):

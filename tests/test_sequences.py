@@ -1,7 +1,9 @@
 """Sequence arithmetic: shifts, aperiodicity, canonical forms, enumeration.
 
 The independent reference here is a brute-force model: materialize all r
-rotations of a sequence and take set minima / dedup directly.
+rotations of a sequence and take set minima / dedup directly.  On boxes
+beyond brute force, enumeration is checked against the next-prenecklace
+loop that enumerate_canonical used before the one block-Lyndon walk.
 """
 
 import gc
@@ -62,6 +64,30 @@ def brute_enumerate(s, max_r, lo, hi):
                 reps.add(brute_canonical(s, tup))
         out.extend(sorted(reps))
     return out
+
+
+def reference_enumerate_canonical(s, max_r, lo, hi):
+    """enumerate_canonical as a next-prenecklace loop, before one walk served
+    both enumerations: raise the last entry below hi, fill the rest of its
+    block with lo, repeat the prefix up to there, and keep the word when
+    its period p is its length."""
+    found = []
+    for n in range(s, max_r * s + 1, s):
+        a = [lo] * n
+        p = s
+        while True:
+            if p == n:
+                found.append(tuple(a))
+            i = n - 1
+            while i >= 0 and a[i] == hi:
+                i -= 1
+            if i < 0:
+                break
+            a[i] += 1
+            p = (i // s + 1) * s
+            head = a[: i + 1] + [lo] * (p - i - 1)
+            a = (head * (n // p + 1))[:n]
+    return found
 
 
 @st.composite
@@ -277,12 +303,27 @@ def test_enumerated_sequences_are_publicly_constructible():
     [
         (1, 3, 0, 2), (1, 3, -1, 1), (2, 2, 0, 1), (2, 3, -1, 0), (3, 2, 0, 1),
         (1, 6, 0, 2), (2, 3, 0, 2), (4, 2, -1, 0),
+        (3, 2, 1, 1), (1, 4, -3, -2), (3, 2, 2, 3),
     ],
 )
 def test_enumerate_matches_brute_force(s, max_r, lo, hi):
     got = [q.entries for q in enumerate_canonical(s, max_r, lo, hi)]
     assert got == brute_enumerate(s, max_r, lo, hi)
+    assert got == reference_enumerate_canonical(s, max_r, lo, hi)
     assert len(set(got)) == len(got)
+
+
+@pytest.mark.parametrize(
+    "s,max_r,lo,hi",
+    [
+        (1, 7, -2, 2), (2, 4, -1, 1), (3, 3, -1, 1), (4, 2, -2, 1), (1, 14, 0, 1),
+        (1, 9, -2, 2), (3, 4, -1, 1),
+    ],
+)
+def test_enumerate_matches_the_reference_loop(s, max_r, lo, hi):
+    # boxes beyond brute force: the next-prenecklace loop the walk replaced
+    got = [q.entries for q in enumerate_canonical(s, max_r, lo, hi)]
+    assert got == reference_enumerate_canonical(s, max_r, lo, hi)
 
 
 def test_enumerate_leaves_no_garbage_cycle():
