@@ -2,9 +2,9 @@
 
 A triple (d, m, lam) of a degree sequence, a multiplicity and a nonzero
 scalar names an indecomposable vector bundle G(d, m, lam) of rank m*r on a
-cycle of s projective lines.  The dimensions of H^0 and H^1 are given by a
-combinatorial count over the maximal non-negative runs of d (theta) with a
-single correction delta for the zero sequence with lam = 1.
+cycle of s projective lines.  The dimensions of H^0 and H^1 are sums over
+the maximal cyclic non-negative runs of d, with a single correction delta
+for the zero sequence with lam = 1.
 
 The same counts drive the surface side: a cusp singularity with resolution
 cycle weights b = (b_1..b_s) attaches to every triple satisfying the Kahn
@@ -16,7 +16,9 @@ by one copy of b per walk of the cycle.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from itertools import cycle
+from operator import sub
+from typing import Iterable, Sequence
 
 from . import _EXPORTS
 from .sequences import SSeq, _count, _frozen
@@ -131,36 +133,35 @@ class CohomReport:
 
 
 def theta(seq: SSeq) -> int:
-    """Sum over the positive parts, the maximal cyclic runs of non-negative
-    entries: a full-cycle or all-zero run counts its length, every other
-    run counts length + 1."""
+    """#{d_i >= 0} + runs, where runs counts the maximal cyclic runs of
+    non-negative entries that hold a positive entry and are shorter than
+    the whole cycle."""
     return _dims(seq.entries, 1, 1)[0]
 
 
-def _dims(e: Sequence[int], m: int, lam: Fraction | int) -> tuple[int, int, int, int]:
-    # theta, delta, h0 and h1 of (e, m, lam) in one walk over e: the closed
-    # form of cohom_dims.  theta counts the non-negative entries, plus one
-    # per run of them short of the whole cycle that holds a positive entry.
-    # The run before the first negative entry joins the run open at the end.
-    th = pos = neg = 0
+def _dims(e: Iterable[int], m: int, lam: Fraction | int) -> tuple[int, int, int, int]:
+    # theta, delta, h0 and h1 of (e, m, lam) in one walk over any iterable e:
+    # the run sums of cohom_dims, the rule sequences._block_lyndon prunes on
+    # at m = 1.  The run before the first negative entry joins the open run.
+    nonneg = runs = pos = neg = 0
     head = None  # whether the run before the first negative entry is positive
     up = False  # whether the open run holds a positive entry
     for v in e:
         if v < 0:
-            neg -= v + 1
+            neg -= v
             if head is None:
                 head = up
             else:
-                th += up
+                runs += up
             up = False
         else:
-            th += 1
-            pos += v + 1
+            nonneg += 1
+            pos += v
             up = up or v > 0
     if head is not None:
-        th += head or up
+        runs += head or up
     de = 1 if head is None and not up and lam == 1 else 0
-    return th, de, m * (pos - th) + de, m * (neg + len(e) - th) + de
+    return nonneg + runs, de, m * (pos - runs) + de, m * (neg - runs) + de
 
 
 def delta(seq: SSeq, lam: Fraction | int | str) -> int:
@@ -171,8 +172,8 @@ def delta(seq: SSeq, lam: Fraction | int | str) -> int:
 def cohom_dims(triple: BundleTriple) -> CohomReport:
     """Dimensions of H^0 and H^1 of G(d, m, lam) in closed form.
 
-    h0 = m * (sum of (d_i + 1)^+ - theta) + delta and
-    h1 = m * (sum of (d_i + 1)^- + r*s - theta) + delta.
+    With runs as in theta, h0 = m * (sum of the positive d_i - runs) + delta
+    and h1 = m * (sum of -d_i over the negative d_i - runs) + delta.
     """
     return CohomReport(*_dims(triple.seq.entries, triple.m, triple.lam))
 
@@ -194,12 +195,7 @@ def kahn_condition(triple: BundleTriple) -> bool:
 def twist_by_cycle(seq: SSeq, geom: CuspGeometry) -> SSeq:
     """Subtract one copy of the weights b from every walk of the cycle."""
     _same_s(seq, geom)
-    return SSeq(seq.s, tuple(_twist(seq, geom)))
-
-
-def _twist(seq: SSeq, geom: CuspGeometry) -> list[int]:
-    # seq is checked against geom
-    return [v - w for v, w in zip(seq.entries, geom.b * seq.r)]
+    return SSeq(seq.s, tuple(map(sub, seq.entries, cycle(geom.b))))
 
 
 def _exists(triple: BundleTriple, geom: CuspGeometry) -> None:
@@ -224,7 +220,7 @@ def n_global(triple: BundleTriple, geom: CuspGeometry) -> int:
         KahnViolation: when the triple fails the existence test.
     """
     _exists(triple, geom)
-    return _dims(_twist(triple.seq, geom), triple.m, triple.lam)[2]
+    return _dims(map(sub, triple.seq.entries, cycle(geom.b)), triple.m, triple.lam)[2]
 
 
 def module_rank(triple: BundleTriple, geom: CuspGeometry) -> int:

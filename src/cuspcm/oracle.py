@@ -322,10 +322,13 @@ def verify_grid(
     rk h is measured once per distinct (sign shape of d, m, lam) and read
     back for every case with that key: `build_presentation` branches on the
     sign shape alone, so those cases share one presentation and one rank.
-    Each case still runs its own closed form and its own three checks.
-    Every m and lam is checked once, before any case runs, so each case's
-    triple is built unchecked; a rank is keyed by lam's position in the
-    checked list, which names one scalar because no lam repeats.
+    theta and delta read only the sign shape too, so a shape sweep (entries
+    -1..1) checks the rank identity for every aperiodic integer sequence of
+    its lengths, at the m and lam listed; degree sums are checked only on
+    integer boxes.  Each case runs its own closed form and checks.  Every m
+    and lam is checked once, before any case runs, so each case's triple is
+    built unchecked; a rank is keyed by lam's position in the checked list,
+    which names one scalar because no lam repeats.
 
     Raises:
         ValueError: for an rs_max, s or m that is not an int, an s or m

@@ -214,12 +214,13 @@ def _block_lyndon(s: int, b: tuple[int, ...], low: int, vmax: int,
     when its period is n, so a leaf is kept when its last block exceeds
     the block p back.
 
-    The section count splits over the maximal cyclic runs of non-negative
-    entries of v: a run contributes its sum, minus one unless it is all
-    zero or wraps the whole cycle.  Entries are filled left to right in
-    increasing order; a partial run can only gain sum, so the accumulated
-    count is a lower bound and prunes the search.  The run through
-    position 0 is settled last, when its wrap status is known.
+    The section count is the rule of cohomology._dims at m = 1: each
+    maximal cyclic run of non-negative entries of v adds its sum, less one
+    if it holds a positive entry and is shorter than the whole cycle.
+    Entries are filled left to right in increasing order; a partial run
+    only gains sum, so the count so far is a lower bound and prunes the
+    search.  The run through position 0 is settled last, once its wrap is
+    known.
 
     The box [lo, hi]^n is the walk with low = lo, b = (hi,) * n and
     vmax = slack = 0: the twist of a box word by the constant hi is

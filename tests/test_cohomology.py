@@ -38,6 +38,7 @@ from cuspcm import (
     twist_by_cycle,
     verify_grid,
 )
+from cuspcm import cohomology
 from test_sequences import sseqs
 
 
@@ -325,6 +326,28 @@ def test_the_single_walk_matches_the_reference_on_every_short_sequence():
 )
 def test_the_single_walk_matches_the_reference_on_longer_sequences(seq, m, lam):
     check_against_reference(seq, m, lam)
+
+
+LAMS = st.sampled_from([Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2)])
+
+
+@settings(max_examples=300)
+@given(seq=sseqs(max_s=3, max_r=8, lo=-4, hi=4), m=st.integers(1, 4), lam=LAMS)
+@example(seq=SSeq(1, (2, -1)), m=2, lam=Fraction(2))
+@example(seq=SSeq(2, (0, 0)), m=1, lam=Fraction(1))
+def test_the_single_walk_reads_any_iterable(seq, m, lam):
+    # n_global hands the walk a lazy twist, which has no len.
+    e = seq.entries
+    assert cohomology._dims(iter(e), m, lam) == cohomology._dims(e, m, lam)
+
+
+@settings(max_examples=300)
+@given(seq=sseqs(max_s=3, max_r=8, lo=-6, hi=6), m=st.integers(1, 4), lam=LAMS)
+def test_theta_and_delta_read_only_the_sign_shape(seq, m, lam):
+    # The closed form's half of the shape sweep: the rank m*theta - delta of
+    # d is that of its sign shape, and h0, h1 add only the degree sums.
+    shape = tuple((v > 0) - (v < 0) for v in seq.entries)
+    assert cohomology._dims(seq.entries, m, lam)[:2] == cohomology._dims(shape, m, lam)[:2]
 
 
 def test_cohom_dims_examples():

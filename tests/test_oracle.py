@@ -355,6 +355,16 @@ def test_verify_grid_small_box():
     assert report.cases == (5 + 10 + 40 + 25) * 4
 
 
+def test_the_shape_sweep_checks_every_sign_shape_up_to_length_8():
+    # Entries -1..1 reach every sign shape, and the rank identity reads d
+    # only through its sign shape on both sides, so this box checks it for
+    # every aperiodic integer sequence with rs <= 8 at these m and lam.
+    report = verify_grid(s_values=(1, 2, 3), rs_max=8, lo=-1, hi=1,
+                         m_values=(1, 2, 3), lambdas=(1, -1, 2, -2, "1/2"))
+    assert report.ok
+    assert report.cases == 54015
+
+
 def plant_wrong_closed_form(monkeypatch, wrong):
     """Make oracle.cohom_dims report theta and h^0 one too high wherever
     wrong(triple) holds."""
