@@ -300,22 +300,20 @@ def export_dot(quiver: ARQuiver) -> str:
 
     Node labels carry the rank when one is defined.
     """
+    def node_line(indent: str, node: QuiverNode) -> str:
+        text = node.id if node.rank is None else f"{node.id}\\nrank {node.rank}"
+        return f'{indent}"{node.id}" [label="{text}"];'
+
     by_id = {node.id: node for node in quiver.nodes}
     lines = ["digraph ar_quiver {", "  rankdir=BT;"]
     placed: set[str] = set()
     for index, tube in enumerate(quiver.tubes):
         lines.append(f"  subgraph cluster_{index} {{")
         lines.append(f'    label="{tube.id} period {tube.period}";')
-        for nid in tube.members:
-            node = by_id[nid]
-            text = nid if node.rank is None else f"{nid}\\nrank {node.rank}"
-            lines.append(f'    "{nid}" [label="{text}"];')
-            placed.add(nid)
+        lines += (node_line("    ", by_id[nid]) for nid in tube.members)
+        placed.update(tube.members)
         lines.append("  }")
-    for node in quiver.nodes:
-        if node.id not in placed:
-            text = node.id if node.rank is None else f"{node.id}\\nrank {node.rank}"
-            lines.append(f'  "{node.id}" [label="{text}"];')
+    lines += (node_line("  ", node) for node in quiver.nodes if node.id not in placed)
     for arrow in quiver.arrows:
         lines.append(f'  "{arrow.src}" -> "{arrow.dst}";')
     lines += ("}", "")  # the trailing newline, without a second copy of the text

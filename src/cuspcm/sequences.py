@@ -217,10 +217,16 @@ def _block_lyndon(s: int, b: tuple[int, ...], low: int, vmax: int,
     The section count is the rule of cohomology._dims at m = 1: each
     maximal cyclic run of non-negative entries of v adds its sum, less one
     if it holds a positive entry and is shorter than the whole cycle.
-    Entries are filled left to right in increasing order; a partial run
-    only gains sum, so the count so far is a lower bound and prunes the
-    search.  The run through position 0 is settled last, once its wrap is
-    known.
+    Entries of a run are non-negative, so its sum is positive exactly when
+    it holds a positive entry, and a run shorter than the cycle costs
+    cost(sum), where cost(x) = x - 1 for x > 1, else 0; the whole cycle
+    costs its sum, no less.  The walk prunes on one lower bound, before
+    and after the first negative entry: the costs of the runs already
+    closed, of the open run and of the run through position 0, which is
+    settled last, once its wrap is known.  Entries are filled left to
+    right in increasing order, and cost(x + y) >= cost(x) + cost(y) for
+    x, y >= 0, so neither extending a run nor joining two runs at the wrap
+    ever lowers the bound.
 
     The box [lo, hi]^n is the walk with low = lo, b = (hi,) * n and
     vmax = slack = 0: the twist of a box word by the constant hi is
@@ -233,56 +239,49 @@ def _block_lyndon(s: int, b: tuple[int, ...], low: int, vmax: int,
     """
     # The frame filling entry i.  gt: the block being filled already exceeds
     # the block p back.  closed counts the sections of the runs already
-    # ended; run is the sum of the open run and head the sum of the run
-    # through position 0, which stays open until the first negative entry
-    # (neg).  Entries of a run are non-negative, so its sum is positive
-    # exactly when it holds a positive entry: it then costs sum - 1.
+    # ended and run is the sum of the open run.  head is -1 until the first
+    # negative entry, then the sum of the run through position 0, so its
+    # cost is 0 until then.  A later negative entry closes run into closed.
     # The c_ names hold the state with entry i placed.  The first block has
     # nothing to exceed; it fixes p = s when it ends.
     n = len(b)
     buf = [0] * n
     out: list[tuple[int, ...]] = []
     stack: list[tuple] = []
-    i, p, gt, closed, run, neg, head = 0, 0, True, 0, 0, False, 0
+    i, p, gt, closed, run, head = 0, 0, True, 0, 0, -1
     v = low - b[0]
     while True:
         if v > vmax:
             if not stack:
                 return out
-            i, p, gt, closed, run, neg, head, v = stack.pop()
+            i, p, gt, closed, run, head, v = stack.pop()
             continue
         if v < 0:
-            # within slack: head <= vmax, and each extension of run was checked
-            c_closed = closed + (run - 1 if run > 0 else 0)
-            c_run, c_neg, c_head = 0, True, head
-        elif not neg:
-            c_head = head + v
-            if c_head > vmax:
-                v = vmax + 1
-                continue
-            c_closed, c_run, c_neg = closed, 0, False
+            c_closed, c_run, c_head = closed, 0, head
+            if head < 0:
+                c_head = run
+            elif run > 1:
+                c_closed += run - 1
         else:
-            c_run = run + v
-            head_cost = head - 1 if head > 0 else 0
-            if closed + (c_run - 1 if c_run > 0 else 0) + head_cost > slack:
+            c_closed, c_run, c_head = closed, run + v, head
+            if (closed + (c_run - 1 if c_run > 1 else 0)
+                    + (head - 1 if head > 1 else 0)) > slack:
                 v = vmax + 1
                 continue
-            c_closed, c_neg, c_head = closed, True, head
         buf[i] = v + b[i]
         if i + 1 == n:
-            if c_neg:
-                total = c_run + c_head  # the open run wraps into the head run
-                c_closed += total - 1 if total > 0 else 0
-            if (c_closed if c_neg else c_head) == slack and (gt or buf[i] > buf[i - p]):
+            wrap = c_run + c_head  # the open run wraps into the head run
+            total = c_run if c_head < 0 else c_closed + (wrap - 1 if wrap > 1 else 0)
+            if total == slack and (gt or buf[i] > buf[i - p]):
                 out.append(tuple(buf))
             v += 1
             continue
-        stack.append((i, p, gt, closed, run, neg, head, v + 1))
+        stack.append((i, p, gt, closed, run, head, v + 1))
         gt = gt or buf[i] > buf[i - p]
         i += 1
         if gt and i % s == 0:
             p, gt = i, False
-        closed, run, neg, head = c_closed, c_run, c_neg, c_head
+        closed, run, head = c_closed, c_run, c_head
         v = low - b[i] if gt else buf[i - p] - b[i]
 
 

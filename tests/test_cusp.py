@@ -361,7 +361,8 @@ def test_family_counts_rejects_bad_bound():
 
 @pytest.mark.parametrize(
     "b,r_max",
-    GROWTH_BOXES + [((2, 0, 1, 0), 4), ((1, 0, 0, 1, 0), 4), ((3,), 7), ((0, 2), 6)],
+    GROWTH_BOXES + [((2, 0, 1, 0), 4), ((1, 0, 0, 1, 0), 4), ((3,), 7), ((0, 2), 6),
+                    ((0, 3), 6), ((3, 0, 1), 4), ((1, 2, 0, 3), 3)],
     ids=str,
 )
 def test_candidates_are_the_reference_lyndon_words(b, r_max):
