@@ -28,7 +28,7 @@ from .cusp import (
     free_label,
 )
 from .sequences import SSeq, _count, _frozen, canonical_form
-from .tpq import TpqFree, TpqGeometry, _flip, _splits
+from .tpq import TpqFree, TpqGeometry, _flip
 
 __all__ = _EXPORTS["quiver"]
 
@@ -114,6 +114,10 @@ def ar_sequence(geom: CuspGeometry, label: CMModuleLabel) -> ARSequence:
     return ARSequence(left=label, middle=middle, right=label)
 
 
+# The node, arrow, tube and translation lists that tubes are written into.
+_Lists = tuple[list[QuiverNode], list[QuiverArrow], list[Tube], dict[str, str]]
+
+
 def build_tube(
     geom: CuspGeometry, seq: SSeq, lam: Fraction | int | str, depth: int
 ) -> ARQuiver:
@@ -141,33 +145,45 @@ def build_tube(
     if _special(geom, base, lam):
         a = free_label(geom)
         free = QuiverNode(str(a), "free", a.rank)
-    return _tube(f"T({base},{lam})", levels, free)
+    out: _Lists = ([], [], [], {})
+    _tube(out, f"T({base},{lam})", levels, free)
+    return _quiver(out)
 
 
 def _tube(
-    tube_id: str, levels: Sequence[Sequence[QuiverNode]], free: QuiverNode | None = None
-) -> ARQuiver:
-    # Between consecutive levels: the raising arrows along every branch, then
-    # the lowering arrows into tau's branch.  A free node goes first, glued
-    # between branch 1 and its tau-image at the bottom, outside tau's domain.
+    out: _Lists, tube_id: str, levels: Sequence[Sequence[QuiverNode]],
+    free: QuiverNode | None = None,
+) -> None:
+    # Appends one tube to out.  Between consecutive levels: the raising
+    # arrows along every branch, then the lowering arrows into tau's branch.
+    # A free node goes first, glued between branch 1 and its tau-image at the
+    # bottom, outside tau's domain.
+    nodes, arrows, tubes, translate = out
     p = len(levels[0])
-    nodes = [node for level in levels for node in level]
-    ids = [node.id for node in nodes]
+    mesh = [node for level in levels for node in level]
+    ids = [node.id for node in mesh]
     tau = ids[:]
-    arrows: list = [None] * (2 * len(ids) - 2 * p)
+    raised: list = [None] * (2 * len(ids) - 2 * p)
     for i in range(p):
         # Pair j of levels holds arrows 2pj..2pj+2p-1: branch i is raised at
         # 2pj+i and lowered at 2pj+p+i.
         tau[i::p] = ids[(i + 1) % p::p]
-        arrows[i::2 * p] = map(QuiverArrow, ids[i::p], ids[p + i::p])
-        arrows[p + i::2 * p] = map(QuiverArrow, ids[p + i::p], tau[i::p])
+        raised[i::2 * p] = map(QuiverArrow, ids[i::p], ids[p + i::p])
+        raised[p + i::2 * p] = map(QuiverArrow, ids[p + i::p], tau[i::p])
     members = ids
     if free is not None:
-        nodes.insert(0, free)
+        nodes.append(free)
         members = [free.id, *ids]
-        arrows[:0] = (QuiverArrow(free.id, ids[0]), QuiverArrow(tau[0], free.id))
-    tube = Tube(tube_id, p, tuple(members))
-    return ARQuiver(tuple(nodes), tuple(arrows), (tube,), dict(zip(ids, tau)))
+        arrows += (QuiverArrow(free.id, ids[0]), QuiverArrow(tau[0], free.id))
+    nodes += mesh
+    arrows += raised
+    tubes.append(Tube(tube_id, p, tuple(members)))
+    translate.update(zip(ids, tau))
+
+
+def _quiver(out: _Lists) -> ARQuiver:
+    nodes, arrows, tubes, translate = out
+    return ARQuiver(tuple(nodes), tuple(arrows), tuple(tubes), translate)
 
 
 def _merge(quivers: Iterable[ARQuiver]) -> ARQuiver:
@@ -180,10 +196,7 @@ def _merge(quivers: Iterable[ARQuiver]) -> ARQuiver:
         arrows.extend(q.arrows)
         tubes.extend(q.tubes)
         translate.update(q.translate)
-    return ARQuiver(
-        nodes=tuple(nodes), arrows=tuple(arrows), tubes=tuple(tubes),
-        translate=translate,
-    )
+    return _quiver((nodes, arrows, tubes, translate))
 
 
 def _base_points(
@@ -230,23 +243,27 @@ def cusp_quiver(
 
 
 def _tpq_tube(
-    geom: TpqGeometry, seq: SSeq, lam: Fraction, depth: int
-) -> ARQuiver:
-    # One curve-side tube over the sigma-orbit of (seq, lam).  Both callers
-    # pass a checked base: seq canonical, a module at m = 1, lam a Fraction.
-    # Every level's node id is formatted from it as str() of the curve
-    # label at that level would be, from the sequence's text made once;
-    # str(lam) of a split base is its sign.
-    text = str(seq)
+    out: _Lists, geom: TpqGeometry, seq: SSeq, lam: Fraction, depth: int,
+    split: bool,
+) -> None:
+    # Appends the curve-side tube over the sigma-orbit of (seq, lam) to out.
+    # The caller passes a checked base (seq canonical, a module at m = 1, lam
+    # a Fraction) and whether it splits.  Every level's node id is formatted
+    # from it as str() of the curve label at that level would be, from the
+    # texts of the sequence and of lam made once; lam of a split base is its
+    # sign.
+    text, lam_text = str(seq), str(lam)
     ms = range(1, depth + 1)
-    if not _splits(geom, seq, lam):
-        levels = [(QuiverNode(f"N({text},{m},{lam})", "single"),) for m in ms]
-        return _tube(f"T({text},{lam})", levels)
-    levels = [(QuiverNode(f"N1({text},{m},{lam})", "split"),
-               QuiverNode(f"N2({text},{m},{lam})", "split")) for m in ms]
+    tube_id = f"T({text},{lam_text})"
+    if not split:
+        levels = [(QuiverNode(f"N({text},{m},{lam_text})", "single"),) for m in ms]
+        _tube(out, tube_id, levels)
+        return
+    levels = [(QuiverNode(f"N1({text},{m},{lam_text})", "split"),
+               QuiverNode(f"N2({text},{m},{lam_text})", "split")) for m in ms]
     special = _special(geom.cusp, seq, lam)
     free = QuiverNode(str(TpqFree(geom)), "free") if special else None
-    return _tube(f"T({text},{lam})", levels, free)
+    _tube(out, tube_id, levels, free)
 
 
 def tpq_quiver(
@@ -283,16 +300,31 @@ def tpq_quiver(
             canon = BundleTriple._trusted(canonical_form(seq), 1, t.lam)
             base = classify_label(canon, geom.cusp)
             points.append((base.triple.seq, base.triple.lam))
-    seen: set[tuple[tuple[int, ...], Fraction]] = set()
-    quivers: list[ARQuiver] = []
+    # A point's flip (sigma d, 1/lam) can be a point only if 1/lam is a
+    # point's lam, and a lam other than +-1 never splits, so only those points
+    # pay for sigma.  Every point is still checked against seen, which drops
+    # exact repeats.  A lam is keyed by its numerator and denominator: ints
+    # hash in C, Fraction.__hash__ is Python code.
+    ratios = {(lam.numerator, lam.denominator) for _, lam in points}
+    seen: set[tuple[tuple[int, ...], int, int]] = set()
+    out: _Lists = ([], [], [], {})
     for seq, lam in points:
-        flip_seq, flip_lam = _flip(geom, seq, lam)
-        key = (seq.entries, lam)
-        if key in seen or (flip_seq.entries, flip_lam) in seen:
+        num, den = lam.numerator, lam.denominator
+        key = (seq.entries, num, den)
+        if key in seen:
             continue
+        inverse = (den, num) if num > 0 else (-den, -num)
+        split = False
+        if inverse in ratios:
+            flip = _flip(geom, seq, lam)[0].entries
+            if (flip, *inverse) in seen:
+                continue
+            # For a canonical seq, sigma-symmetric means flip == seq: the
+            # rule of _splits, read off the flip already made.
+            split = den == 1 and num in (1, -1) and flip == seq.entries
         seen.add(key)
-        quivers.append(_tpq_tube(geom, seq, lam, depth))
-    return _merge(quivers)
+        _tpq_tube(out, geom, seq, lam, depth, split)
+    return _quiver(out)
 
 
 def export_dot(quiver: ARQuiver) -> str:

@@ -137,7 +137,7 @@ class SSeq:
         return len(self.entries) // self.s
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(e) for e in self.entries) + "]"
+        return "[" + ",".join(map(str, self.entries)) + "]"
 
 
 def shift_by(seq: SSeq, k: int) -> SSeq:

@@ -100,10 +100,11 @@ def apply_sigma(geom: TpqGeometry, seq: SSeq) -> SSeq:
     """
     _geometry(geom, TpqGeometry)
     _same_s(seq, geom.cusp)
-    e = seq.entries
-    n = len(e)
-    t = geom.axis
-    return SSeq(seq.s, tuple(e[(t - 1 - i) % n] for i in range(n)))
+    # The entries reversed, then rotated by n - axis: a permutation of
+    # checked entries, so nothing is checked again.
+    e = seq.entries[::-1]
+    k = (len(e) - geom.axis) % len(e)
+    return SSeq._trusted(seq.s, e[k:] + e[:k])
 
 
 def is_sigma_symmetric(geom: TpqGeometry, seq: SSeq) -> bool:
@@ -114,7 +115,9 @@ def is_sigma_symmetric(geom: TpqGeometry, seq: SSeq) -> bool:
 
 def _splits(geom: TpqGeometry, seq: SSeq, lam: Fraction) -> bool:
     # The one split rule: sigma-fixed data at lam = +-1 descend to two
-    # branch modules; everything else to one single module.
+    # branch modules; everything else to one single module.  For a canonical
+    # seq, sigma-symmetric means the flip's sequence equals seq, which is
+    # how tpq_quiver reads this rule off the flips it makes anyway.
     return lam in (1, -1) and is_sigma_symmetric(geom, seq)
 
 

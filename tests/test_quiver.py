@@ -20,6 +20,7 @@ from cuspcm import (
     Tube,
     ar_sequence,
     build_tube,
+    canonical_form,
     classify_label,
     cusp_quiver,
     descend,
@@ -30,6 +31,8 @@ from cuspcm import (
     quiver_to_dict,
     tpq_quiver,
 )
+from cuspcm.quiver import _base_points
+from cuspcm.tpq import _flip, _splits
 from test_cohomology import TUBE_GEOMETRIES, TUBE_LAMBDAS
 
 B1 = CuspGeometry(1, [1])
@@ -512,6 +515,68 @@ def test_every_tube_matches_the_replaced_builders(build, geometry, depth):
     assert sum(node.kind == "free" for node in quiver.nodes) == 1
     if geom is not getattr(geom, "cusp", geom):
         assert {t.period for t in quiver.tubes} == {1, 2}
+
+
+def reference_orbit_tubes(geom, points):
+    # The orbit selection tpq_quiver replaced, kept as the reference: flip
+    # every point, skip it when it or its flip has been seen, and split it
+    # by the _splits rule.  The (tube id, period) of each tube, in order.
+    seen = set()
+    tubes = []
+    for seq, lam in points:
+        flip_seq, flip_lam = _flip(geom, seq, lam)
+        key = (seq.entries, lam)
+        if key in seen or (flip_seq.entries, flip_lam) in seen:
+            continue
+        seen.add(key)
+        tubes.append((f"T({seq},{lam})", 2 if _splits(geom, seq, lam) else 1))
+    return tubes
+
+
+ORBIT_CURVES = [(3, 7), (3, 8), (4, 5), (4, 6), (5, 5), (5, 6), (6, 7)]
+
+
+@pytest.mark.parametrize("lams", [REFERENCE_LAMBDAS, (2, Fraction(1, 2), -1)],
+                         ids=["reference-lambdas", "flip-pair"])
+@pytest.mark.parametrize("max_base_rank", [1, 2, 3])
+@pytest.mark.parametrize("pq", ORBIT_CURVES, ids=[f"T{p},{q}" for p, q in ORBIT_CURVES])
+def test_orbit_selection_matches_the_every_point_flip(pq, max_base_rank, lams):
+    # Only points whose 1/lam is a point's lam are flipped; the tubes, their
+    # periods and their order are those of flipping every point.
+    geom = geometry_of(*pq)
+    points = _base_points(geom.cusp, max_base_rank, lams)
+    quiver = tpq_quiver(geom, 1, max_base_rank=max_base_rank, lambdas=lams)
+    want = reference_orbit_tubes(geom, points)
+    assert [(t.id, t.period) for t in quiver.tubes] == want
+    assert len(want) < len(points)  # some orbit has two points
+
+
+G56 = geometry_of(5, 6)
+ORBIT_BASES = [
+    pytest.param(G38, [((1, 2, 3, 4), 2), ((3, 4, 1, 2), 2), ((1, 4, 3, 2), "1/2"),
+                       ((1, 0), 1), ((1, 0), 1), ((0, 1), -1), ((1, 2), 2),
+                       ((2, 1), "1/2"), ((1, 2, 1, 3), 1), ((1, 0), 2)], id="T3,8"),
+    pytest.param(G56, [((1, 2, 0), "1/2"), ((2, 1, 0), 2), ((0, 2, 1), 2),
+                       ((1, 1, 0), -1), ((1, 1, 0), -1), ((1, 1, 0), 1),
+                       ((1, 0, 1), 3)], id="T5,6"),
+]
+
+
+@pytest.mark.parametrize("geom,bases", ORBIT_BASES)
+def test_orbit_selection_of_explicit_bases(geom, bases):
+    # A base repeated exactly or as a rotation is built once, and so is a
+    # (d, 2) / (sigma d, 1/2) pair, from whichever comes first.
+    s = geom.cusp.s
+    bases = [(SSeq(s, entries), lam) for entries, lam in bases]
+    points = []
+    for seq, lam in bases:
+        lab = classify_label(BundleTriple(canonical_form(seq), 1, lam), geom.cusp)
+        points.append((lab.triple.seq, lab.triple.lam))
+    quiver = tpq_quiver(geom, 2, bases=bases)
+    want = reference_orbit_tubes(geom, points)
+    assert [(t.id, t.period) for t in quiver.tubes] == want
+    assert {period for _, period in want} == {1, 2}
+    assert len(want) < len(points)
 
 
 # --------------------------------------------------------------- export

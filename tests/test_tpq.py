@@ -1,6 +1,7 @@
 """T_pq geometries, the reflection sigma, and Knoerrer descent of labels."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,9 @@ from cuspcm import (
     family_counts,
     free_label,
     geometry_of,
+    is_aperiodic,
     is_sigma_symmetric,
+    kahn_condition,
     module_rank,
     n_global,
     shift_by,
@@ -118,6 +121,13 @@ def test_sigma_symmetry_examples():
     assert is_sigma_symmetric(G55, SSeq(2, (1, 1)))
 
 
+def reference_sigma(geom, seq):
+    # apply_sigma's index formula: entry i is entry axis - 1 - i, cyclic.
+    e = seq.entries
+    n = len(e)
+    return tuple(e[(geom.axis - 1 - i) % n] for i in range(n))
+
+
 def reference_is_sigma_symmetric(geom, seq):
     reflected = apply_sigma(geom, seq)
     return any(reflected == shift_by(seq, k) for k in range(seq.r))
@@ -152,6 +162,7 @@ def test_sigma_symmetry_matches_the_reference_on_longer_words():
             if k % 2:
                 entries += apply_sigma(geom, SSeq(s, entries)).entries
             seq = SSeq(s, entries)
+            assert apply_sigma(geom, seq).entries == reference_sigma(geom, seq)
             want = reference_is_sigma_symmetric(geom, seq)
             assert is_sigma_symmetric(geom, seq) == want, (p, q, seq)
             seen.add(want)
@@ -170,6 +181,7 @@ def test_sigma_involution_and_shift_orbits(p, q, data):
     geom = geometry_of(p, q)
     seq = data.draw(sequences_for(geom))
     k = data.draw(st.integers(-4, 4))
+    assert apply_sigma(geom, seq).entries == reference_sigma(geom, seq)
     assert apply_sigma(geom, apply_sigma(geom, seq)) == seq
     assert canonical_form(apply_sigma(geom, shift_by(seq, k))) == canonical_form(
         apply_sigma(geom, seq)
@@ -214,6 +226,44 @@ def test_sigma_of_module_is_an_involution(data):
     back = sigma_of_module(G38, sigma_of_module(G38, triple))
     assert back == triple  # canonical forms make shift-equivalence equality
     assert back.lam == triple.lam
+
+
+# Beyond the seven geometries of SIGMA_CASES, with all three TpqCases.
+BEYOND_SIGMA_CASES = [(3, 9), (3, 11), (4, 7), (4, 9), (5, 7), (6, 6), (7, 8)]
+
+
+def test_descent_is_sigma_invariant_beyond_the_sigma_cases():
+    # descend(sigma t) is descend(t), label by label up to tpq_iso, for a
+    # fixed seeded count of module labels per geometry.  Every other word is
+    # followed by its own reflection, which often makes it sigma-symmetric.
+    rng = random.Random(20033)
+    start = time.perf_counter()
+    cases, kinds = set(), set()
+    for p, q in BEYOND_SIGMA_CASES:
+        geom = geometry_of(p, q)
+        cases.add(geom.case_tag)
+        s = geom.cusp.s
+        checked = 0
+        while checked < 150:
+            entries = tuple(rng.randint(-1, 2) for _ in range(s * rng.randint(1, 3)))
+            if checked % 2:
+                entries += apply_sigma(geom, SSeq(s, entries)).entries
+            lam = rng.choice([1, -1, 2, Fraction(1, 2), Fraction(-3, 5)])
+            triple = BundleTriple(canonical_form(SSeq(s, entries)), rng.randint(1, 3), lam)
+            if not (is_aperiodic(triple.seq) and kahn_condition(triple)):
+                continue
+            down = descend(geom, classify_label(triple, geom.cusp))
+            flipped = classify_label(sigma_of_module(geom, triple), geom.cusp)
+            flipped_down = descend(geom, flipped)
+            assert len(flipped_down) == len(down), (p, q, triple)
+            for a, b in zip(down, flipped_down):
+                assert tpq_iso(geom, a, b), (p, q, triple)
+            kinds.update(lab.kind for lab in down)
+            checked += 1
+    assert cases == set(TpqCase)
+    assert kinds == {TpqKind.SINGLE, TpqKind.SPLIT}
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10, f"{elapsed:.2f} s"
 
 
 # -------------------------------------------------------------- labels
