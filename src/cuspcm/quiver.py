@@ -28,7 +28,7 @@ from .cusp import (
     free_label,
 )
 from .sequences import SSeq, _count, _frozen, canonical_form
-from .tpq import TpqFree, TpqGeometry, _flip
+from .tpq import TpqFree, TpqGeometry, _orbits
 
 __all__ = _EXPORTS["quiver"]
 
@@ -242,30 +242,6 @@ def cusp_quiver(
     return _merge(build_tube(geom, seq, lam, depth) for seq, lam in points)
 
 
-def _tpq_tube(
-    out: _Lists, geom: TpqGeometry, seq: SSeq, lam: Fraction, depth: int,
-    split: bool,
-) -> None:
-    # Appends the curve-side tube over the sigma-orbit of (seq, lam) to out.
-    # The caller passes a checked base (seq canonical, a module at m = 1, lam
-    # a Fraction) and whether it splits.  Every level's node id is formatted
-    # from it as str() of the curve label at that level would be, from the
-    # texts of the sequence and of lam made once; lam of a split base is its
-    # sign.
-    text, lam_text = str(seq), str(lam)
-    ms = range(1, depth + 1)
-    tube_id = f"T({text},{lam_text})"
-    if not split:
-        levels = [(QuiverNode(f"N({text},{m},{lam_text})", "single"),) for m in ms]
-        _tube(out, tube_id, levels)
-        return
-    levels = [(QuiverNode(f"N1({text},{m},{lam_text})", "split"),
-               QuiverNode(f"N2({text},{m},{lam_text})", "split")) for m in ms]
-    special = _special(geom.cusp, seq, lam)
-    free = QuiverNode(str(TpqFree(geom)), "free") if special else None
-    _tube(out, tube_id, levels, free)
-
-
 def tpq_quiver(
     geom: TpqGeometry,
     depth: int,
@@ -300,30 +276,23 @@ def tpq_quiver(
             canon = BundleTriple._trusted(canonical_form(seq), 1, t.lam)
             base = classify_label(canon, geom.cusp)
             points.append((base.triple.seq, base.triple.lam))
-    # A point's flip (sigma d, 1/lam) can be a point only if 1/lam is a
-    # point's lam, and a lam other than +-1 never splits, so only those points
-    # pay for sigma.  Every point is still checked against seen, which drops
-    # exact repeats.  A lam is keyed by its numerator and denominator: ints
-    # hash in C, Fraction.__hash__ is Python code.
-    ratios = {(lam.numerator, lam.denominator) for _, lam in points}
-    seen: set[tuple[tuple[int, ...], int, int]] = set()
+    # The tube of each sigma-orbit, from its first point.  Node ids are
+    # formatted as str() of the curve label at each level would be, from the
+    # texts of the sequence and of lam made once; lam of a split base is its
+    # sign.
     out: _Lists = ([], [], [], {})
-    for seq, lam in points:
-        num, den = lam.numerator, lam.denominator
-        key = (seq.entries, num, den)
-        if key in seen:
-            continue
-        inverse = (den, num) if num > 0 else (-den, -num)
-        split = False
-        if inverse in ratios:
-            flip = _flip(geom, seq, lam)[0].entries
-            if (flip, *inverse) in seen:
-                continue
-            # For a canonical seq, sigma-symmetric means flip == seq: the
-            # rule of _splits, read off the flip already made.
-            split = den == 1 and num in (1, -1) and flip == seq.entries
-        seen.add(key)
-        _tpq_tube(out, geom, seq, lam, depth, split)
+    ms = range(1, depth + 1)
+    for seq, lam, split in _orbits(geom, points):
+        text, lam_text = str(seq), str(lam)
+        free = None
+        if split:
+            levels = [(QuiverNode(f"N1({text},{m},{lam_text})", "split"),
+                       QuiverNode(f"N2({text},{m},{lam_text})", "split")) for m in ms]
+            if _special(geom.cusp, seq, lam):
+                free = QuiverNode(str(TpqFree(geom)), "free")
+        else:
+            levels = [(QuiverNode(f"N({text},{m},{lam_text})", "single"),) for m in ms]
+        _tube(out, f"T({text},{lam_text})", levels, free)
     return _quiver(out)
 
 

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import ClassVar
+from typing import ClassVar, Iterator, Sequence
 
 from . import _EXPORTS
 from .cohomology import BundleTriple, CuspGeometry, _exists, _geometry, _same_s
 from .cusp import CMModuleLabel, _canonical_triple
-from .sequences import SSeq, _count, _frozen, _least_rotation, canonical_form
+from .sequences import SSeq, _count, _frozen, _least_rotation
 
 __all__ = _EXPORTS["tpq"]
 
@@ -107,23 +107,51 @@ def apply_sigma(geom: TpqGeometry, seq: SSeq) -> SSeq:
     return SSeq._trusted(seq.s, e[k:] + e[:k])
 
 
+def _reflect(geom: TpqGeometry, seq: SSeq) -> tuple[int, ...]:
+    # The one reflection rule: the entries of sigma d in canonical form.
+    return _least_rotation(apply_sigma(geom, seq).entries, seq.s)[0]
+
+
 def is_sigma_symmetric(geom: TpqGeometry, seq: SSeq) -> bool:
     """True when the reflected sequence is a rotation of the original."""
-    least = _least_rotation(seq.entries, seq.s)[0]
-    return _least_rotation(apply_sigma(geom, seq).entries, seq.s)[0] == least
+    return _least_rotation(seq.entries, seq.s)[0] == _reflect(geom, seq)
 
 
 def _splits(geom: TpqGeometry, seq: SSeq, lam: Fraction) -> bool:
     # The one split rule: sigma-fixed data at lam = +-1 descend to two
     # branch modules; everything else to one single module.  For a canonical
-    # seq, sigma-symmetric means the flip's sequence equals seq, which is
-    # how tpq_quiver reads this rule off the flips it makes anyway.
+    # seq, sigma-symmetric means _reflect gives back its entries, which is
+    # how _orbits reads this rule off the reflections it makes anyway.
     return lam in (1, -1) and is_sigma_symmetric(geom, seq)
 
 
-def _flip(geom: TpqGeometry, seq: SSeq, lam: Fraction) -> tuple[SSeq, Fraction]:
-    # The one flip rule: (d, lam) -> (sigma d in canonical form, 1/lam).
-    return canonical_form(apply_sigma(geom, seq)), 1 / lam
+def _orbits(
+    geom: TpqGeometry, points: Sequence[tuple[SSeq, Fraction]]
+) -> Iterator[tuple[SSeq, Fraction, bool]]:
+    # The first point of each sigma-orbit among checked points (seq
+    # canonical, lam a Fraction), in order, and whether it splits.  The flip
+    # (sigma d, 1/lam) of a point can be a point only if 1/lam is a point's
+    # lam, and a lam other than +-1 never splits, so only those points pay
+    # for sigma.  Every point is still checked against seen, which drops
+    # exact repeats.  A lam is keyed by its numerator and denominator: ints
+    # hash in C, Fraction.__hash__ is Python code.
+    ratios = {(lam.numerator, lam.denominator) for _, lam in points}
+    seen: set[tuple[tuple[int, ...], int, int]] = set()
+    for seq, lam in points:
+        num, den = lam.numerator, lam.denominator
+        key = (seq.entries, num, den)
+        if key in seen:
+            continue
+        inverse = (den, num) if num > 0 else (-den, -num)
+        split = False
+        if inverse in ratios:
+            flip = _reflect(geom, seq)
+            if (flip, *inverse) in seen:
+                continue
+            # The rule of _splits, read off the reflection already made.
+            split = den == 1 and num in (1, -1) and flip == seq.entries
+        seen.add(key)
+        yield seq, lam, split
 
 
 def sigma_of_module(geom: TpqGeometry, triple: BundleTriple) -> BundleTriple:
@@ -134,8 +162,8 @@ def sigma_of_module(geom: TpqGeometry, triple: BundleTriple) -> BundleTriple:
     """
     _geometry(geom, TpqGeometry)
     _exists(triple, geom.cusp)
-    seq, lam = _flip(geom, triple.seq, triple.lam)
-    return BundleTriple(seq, triple.m, lam)
+    seq = SSeq._trusted(triple.seq.s, _reflect(geom, triple.seq))
+    return BundleTriple(seq, triple.m, 1 / triple.lam)
 
 
 class TpqKind(Enum):
@@ -248,6 +276,6 @@ def tpq_iso(geom: TpqGeometry, a: TpqModuleLabel, b: TpqModuleLabel) -> bool:
         return True
     if not (isinstance(a, TpqSingle) and isinstance(b, TpqSingle)):
         return False
-    # b flipped, compared field by field: b is checked, and so is its flip.
-    seq, lam = _flip(geom, b.seq, b.lam)
-    return (a.seq, a.m, a.lam) == (seq, b.m, lam)
+    # b flipped by _reflect and 1/lam, compared field by field: b is
+    # checked, and so is its flip.
+    return (a.seq.entries, a.m, a.lam) == (_reflect(geom, b.seq), b.m, 1 / b.lam)

@@ -18,6 +18,7 @@ from cuspcm import (
     TpqFree,
     TpqSingle,
     Tube,
+    apply_sigma,
     ar_sequence,
     build_tube,
     canonical_form,
@@ -31,8 +32,9 @@ from cuspcm import (
     quiver_to_dict,
     tpq_quiver,
 )
+from cuspcm import tpq
 from cuspcm.quiver import _base_points
-from cuspcm.tpq import _flip, _splits
+from cuspcm.tpq import _splits
 from test_cohomology import TUBE_GEOMETRIES, TUBE_LAMBDAS
 
 B1 = CuspGeometry(1, [1])
@@ -524,7 +526,7 @@ def reference_orbit_tubes(geom, points):
     seen = set()
     tubes = []
     for seq, lam in points:
-        flip_seq, flip_lam = _flip(geom, seq, lam)
+        flip_seq, flip_lam = canonical_form(apply_sigma(geom, seq)), 1 / lam
         key = (seq.entries, lam)
         if key in seen or (flip_seq.entries, flip_lam) in seen:
             continue
@@ -577,6 +579,25 @@ def test_orbit_selection_of_explicit_bases(geom, bases):
     assert [(t.id, t.period) for t in quiver.tubes] == want
     assert {period for _, period in want} == {1, 2}
     assert len(want) < len(points)
+
+
+@pytest.mark.parametrize(
+    "lams,flips", [((1, 2), 4040), ((2, Fraction(1, 2), -1), 12123)],
+    ids=["reference-lambdas", "flip-pair"],
+)
+def test_only_points_with_an_inverse_lam_are_flipped(monkeypatch, lams, flips):
+    # T5,6 has 8,081 points at lam in {1, 2}: only the 4,040 at lam = 1 can
+    # meet their flip.  Each of the 12,123 at {2, 1/2, -1} can.
+    calls = []
+    real = tpq.apply_sigma
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tpq, "apply_sigma", counted)
+    tpq_quiver(G56, 5, max_base_rank=4, lambdas=lams)
+    assert len(calls) == flips
 
 
 # --------------------------------------------------------------- export
